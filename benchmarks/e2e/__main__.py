@@ -1,0 +1,5 @@
+"""``python3 -m benchmarks.e2e`` — the same command line as ``run.py``."""
+
+from benchmarks.e2e.run import main
+
+raise SystemExit(main())
