@@ -30,7 +30,7 @@ import time
 
 from repro.core.buffers import backend_name
 from repro.core.graph import TemporalGraph
-from repro.core.graph_index import DEFAULT_MATCH_LIMIT, find_matches
+from repro.core.graph_index import find_matches
 from repro.core.growth import extend_embeddings, seed_patterns
 from repro.core.kernel import LabelInterner, build_kernels
 from repro.core.pattern import TemporalPattern
@@ -53,6 +53,9 @@ MIN_MATCH_SPEEDUP = float(os.environ.get("BENCH_MIN_MATCH_SPEEDUP", 1.5))
 KERNEL_MIN_INSTANCES = int(os.environ.get("BENCH_KERNEL_MIN_INSTANCES", 12))
 
 MATCH_SPAN = 480
+#: Per-search match cap of the sweep (the enumeration stays bounded on
+#: the densest skeletons; both modes stop at the same match).
+MATCH_LIMIT = 200_000
 
 #: Behavior-query skeletons for the match sweep, written over the coarse
 #: entity categories of the syscall log (``proc``/``file``/``sock``).
@@ -122,7 +125,7 @@ def _match_sweep(patterns, graph, use_kernel):
             pattern,
             graph,
             max_span=MATCH_SPAN,
-            limit=DEFAULT_MATCH_LIMIT,
+            limit=MATCH_LIMIT,
             use_kernel=use_kernel,
         ):
             total += 1
@@ -164,7 +167,7 @@ def test_kernel_vs_legacy_ablation(benchmark):
                     pattern,
                     query_view,
                     max_span=MATCH_SPAN,
-                    limit=DEFAULT_MATCH_LIMIT,
+                    limit=MATCH_LIMIT,
                     use_kernel=False,
                 )
             )
@@ -173,7 +176,7 @@ def test_kernel_vs_legacy_ablation(benchmark):
                     pattern,
                     query_view,
                     max_span=MATCH_SPAN,
-                    limit=DEFAULT_MATCH_LIMIT,
+                    limit=MATCH_LIMIT,
                 )
             )
             identical = identical and legacy_matches == kernel_matches

@@ -250,9 +250,8 @@ class TemporalGraph:
         :mod:`repro.core.buffers`): built once on first access and
         cached, or — for graphs reconstructed by
         :meth:`from_frozen_columns` — read-only views into a shared
-        memory segment.  They are what
-        :func:`repro.core.graph_index.find_matches` scans instead of
-        per-edge objects.
+        memory segment.  They are what the joins of
+        :mod:`repro.core.graph_index` scan instead of per-edge objects.
         """
         self._require_frozen()
         if self._col_src is None:

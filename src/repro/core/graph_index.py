@@ -18,9 +18,10 @@ Two client roles:
   larger pattern as a temporal graph and (re)build its index per test —
   deliberately keeping the per-test index-construction overhead the paper
   identifies as the baseline's weakness.
-* :mod:`repro.query.engine`: pattern-vs-log search over large graphs,
-  where the index is built once and reused, with an optional time-window
-  cap (``max_span``) reflecting bounded behavior durations.
+* :mod:`repro.query.engine` and the streaming service: pattern-vs-log
+  span search (:func:`find_spans`) over large graphs, where the index is
+  built once and reused, with an optional time-window cap (``max_span``)
+  reflecting bounded behavior durations.
 
 Besides the matcher, this module hosts the **candidate-pruning prefilter**
 used across the mining stack: :class:`Signature` summarizes a pattern or
@@ -36,9 +37,10 @@ cannot occur in the log at all.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.core.brute import Match
@@ -48,11 +50,12 @@ from repro.core.kernel import LabelInterner
 from repro.core.pattern import TemporalPattern
 
 __all__ = [
-    "DEFAULT_MATCH_LIMIT",
     "EdgeIndexedSource",
     "find_matches",
+    "find_spans",
     "GraphIndexTester",
     "match_span",
+    "Span",
     "Signature",
     "CandidateFilter",
     "FilterStats",
@@ -61,17 +64,14 @@ __all__ = [
     "signature_contains",
 ]
 
-
-#: Safety valve on match enumeration, shared by the batch engine and the
-#: streaming service so their span sets stay identical up to the same
-#: cutoff (a pathological query with more matches than this is truncated
-#: the same way on both paths).
-DEFAULT_MATCH_LIMIT = 200_000
+#: ``(first_time, last_time)`` of a match: the unit an identified
+#: behavior instance is judged by (span-identical matches are one).
+Span = tuple[int, int]
 
 
 @runtime_checkable
 class EdgeIndexedSource(Protocol):
-    """What :func:`find_matches` needs from a data graph.
+    """What :func:`find_matches` and :func:`find_spans` need from a graph.
 
     A frozen :class:`TemporalGraph` satisfies this, and so does the live
     :class:`~repro.serving.streaming.StreamingGraph`, whose edge ids are
@@ -89,12 +89,12 @@ class EdgeIndexedSource(Protocol):
 
     def edges_between(self, src_label: str, dst_label: str) -> Sequence[int]: ...
 
-    # Optional fast path (duck-typed, not part of the required protocol):
-    # an ``edge_arrays()`` method returning ``(base, src, dst, time)``
-    # flat columns — position ``id - base`` describes edge ``id`` — lets
-    # the matcher join over compact arrays instead of edge objects.
-    # Frozen TemporalGraphs provide it from their kernel; StreamingGraph
-    # maintains the columns incrementally across ingest/evict.
+    # Flat columns (duck-typed, not part of the runtime check): an
+    # ``edge_arrays()`` method returning ``(base, src, dst, time)`` —
+    # position ``id - base`` describes edge ``id``.  find_matches joins
+    # over them when present (else over edge objects); find_spans
+    # requires them.  Frozen TemporalGraphs provide them from their
+    # kernel; StreamingGraph maintains them across ingest/evict.
 
 
 def find_matches(
@@ -109,9 +109,11 @@ def find_matches(
 ) -> Iterator[Match]:
     """Yield matches of ``pattern`` in ``graph`` via index joins.
 
-    This is the one matching core shared by the batch
+    The match-enumeration API: the ``PruneGI`` tester, the benchmarks'
+    exact reference and the test oracle for :func:`find_spans`, which
+    runs the same join for the span consumers (the batch
     :class:`~repro.query.engine.QueryEngine` and the streaming
-    :class:`~repro.serving.streaming.StreamingGraph` — any *edge-indexed
+    :class:`~repro.serving.service.DetectionService`).  Any *edge-indexed
     source* works: an object exposing ``num_edges``, an ``edges`` sequence
     indexable by edge id, and ``edges_between(src_label, dst_label)``
     returning time-sorted edge ids.
@@ -573,9 +575,218 @@ def _join_objects(
     yield from join(0, start_index - 1, 0)
 
 
-def match_span(
-    match: Match, graph: "TemporalGraph | EdgeIndexedSource"
-) -> tuple[int, int]:
+#: Candidate lists at least this long are read through a per-call
+#: endpoint index (data node -> its candidate ids) at join levels with a
+#: bound endpoint; shorter lists are scanned directly.  Only speed
+#: depends on it.
+_INDEX_MIN_CANDIDATES = 48
+
+
+def find_spans(
+    pattern: TemporalPattern,
+    graph: "TemporalGraph | EdgeIndexedSource",
+    max_span: int | None = None,
+    start_index: int = 0,
+    min_last_index: int = 0,
+) -> set[Span]:
+    """Distinct spans of the matches of ``pattern``, without enumerating them.
+
+    Returns exactly ``{match_span(m, graph) for m in find_matches(pattern,
+    graph, max_span, start_index=start_index,
+    min_last_index=min_last_index)}``.  The paper judges an identified
+    instance by its time span (Section 6.2), and a dense log holds many
+    matches per span, so every span consumer calls this instead.
+
+    It walks :func:`find_matches`' join — same candidate lists, frontier,
+    span cap, injectivity, ``start_index`` and ``min_last_index`` rules —
+    but records, per first edge, only which last-edge candidates a full
+    match reaches.  Before a level recurses on a candidate it looks for a
+    *witness*: a last-edge candidate that the rest of the level could
+    still reach (later than the candidate, under the span cap and the
+    ``min_last_index`` floor, agreeing with the bound nodes, none of its
+    unbound endpoints already used) and that is not recorded yet.  With
+    no witness the level stops: every span it could add is known.  The
+    check is exact and monotone — within a level the frontier only rises
+    and the recorded set only grows, so the witness pointer never moves
+    back — and no result of one partial match is reused for another.  A
+    level with no witness past its frontier returns before scanning.
+
+    Long candidate lists are read through an endpoint index, built
+    lazily, at most once per list and endpoint per call, over ids
+    ``>= start_index`` only, so per-call set-up scales with what the join
+    visits, not with the window.  ``graph`` must offer ``edge_arrays()``;
+    the columns are read in place.
+    """
+    if not getattr(graph, "frozen", True):
+        graph.freeze()
+    spans: set[Span] = set()
+    m = pattern.num_edges
+    if m > graph.num_edges:
+        return spans
+    p_edges = pattern.edges
+    p_labels = pattern.labels
+    candidate_lists = []
+    for u, v in p_edges:
+        lst = graph.edges_between(p_labels[u], p_labels[v])
+        if not lst or lst[-1] < start_index:
+            return spans
+        candidate_lists.append(lst)
+    if candidate_lists[-1][-1] < min_last_index:
+        return spans
+    base, e_src, e_dst, e_time = graph.edge_arrays()
+    if start_index < base:
+        for lst in candidate_lists:
+            lo = bisect_left(lst, start_index)
+            if lo < len(lst) and lst[lo] < base:
+                # a candidate below the compaction base means the caller's
+                # start was wrong: never silently read a recycled slot
+                raise IndexError(f"edge {lst[lo]} was compacted away")
+
+    last = m - 1
+    last_floor = min_last_index - 1
+    lu, lv = p_edges[last]
+
+    # Long lists are read through an endpoint index at levels that have
+    # a bound endpoint: one lazily built index per (list, keying column).
+    indexes: dict[tuple[int, bool], dict[int, list[int]]] = {}
+
+    def route(lst: Sequence[int], u: int, v: int, u_bound: bool, v_bound: bool):
+        """``(lst, index key, keying pattern node)``; key ``None`` scans ``lst``."""
+        if len(lst) < _INDEX_MIN_CANDIDATES or not (u_bound or v_bound):
+            return lst, None, -1
+        return lst, (id(lst), u_bound), u if u_bound else v
+
+    def candidates(lst: Sequence[int], key, node: int) -> Sequence[int]:
+        if key is None:
+            return lst
+        index = indexes.get(key)
+        if index is None:
+            index = indexes[key] = {}
+            column = e_src if key[1] else e_dst
+            for idx in islice(lst, bisect_left(lst, start_index), None):
+                node_id = column[idx - base]
+                bucket = index.get(node_id)
+                if bucket is None:
+                    index[node_id] = [idx]
+                else:
+                    bucket.append(idx)
+        return index.get(assignment[node], ())
+
+    # Which pattern nodes a level finds bound does not depend on the data:
+    # exactly the nodes of the edges before it.
+    levels = []
+    nodes: set[int] = set()
+    for (u, v), lst in zip(p_edges, candidate_lists):
+        u_bound, v_bound = u in nodes, v in nodes
+        lu_bound, lv_bound = lu in nodes, lv in nodes
+        scan = route(lst, u, v, u_bound, v_bound)
+        witness = route(candidate_lists[last], lu, lv, lu_bound, lv_bound)
+        levels.append((u, v, u_bound, v_bound, scan, lu_bound, lv_bound, witness))
+        nodes.update((u, v))
+
+    assignment = [0] * pattern.num_nodes
+    used: set[int] = set()
+    recorded: set[int] = set()
+    t0 = cap = 0
+
+    def join(k: int, frontier: int) -> None:
+        pu, pv, u_bound, v_bound, scan, lu_bound, lv_bound, witness = levels[k]
+        if k < last:
+            witnesses = candidates(*witness)
+            w_end = bisect_right(witnesses, cap)
+            w = bisect_right(witnesses, max(frontier, last_floor))
+            if w >= w_end:
+                return
+        else:
+            frontier = max(frontier, last_floor)
+        au = assignment[pu]
+        av = assignment[pv]
+        cands = candidates(*scan)
+        lo = bisect_right(cands, frontier)
+        hi = bisect_right(cands, cap, lo)
+        if k == last:
+            for pos in range(lo, hi):
+                idx = cands[pos]
+                if idx in recorded:
+                    continue
+                off = idx - base
+                du = e_src[off]
+                dv = e_dst[off]
+                if du != au if u_bound else du in used:
+                    continue
+                if dv != av if v_bound else dv in used or du == dv:
+                    continue
+                recorded.add(idx)
+                spans.add((t0, e_time[off]))
+            return
+        for pos in range(lo, hi):
+            idx = cands[pos]
+            off = idx - base
+            du = e_src[off]
+            dv = e_dst[off]
+            if du != au if u_bound else du in used:
+                continue
+            if dv != av if v_bound else dv in used or du == dv:
+                continue
+            # stop the level unless a witness is left past this candidate
+            w = bisect_right(witnesses, max(idx, last_floor), w)
+            while w < w_end:
+                x = witnesses[w]
+                if x not in recorded:
+                    x_off = x - base
+                    xs = e_src[x_off]
+                    xd = e_dst[x_off]
+                    if (xs == assignment[lu] if lu_bound else xs not in used) and (
+                        xd == assignment[lv]
+                        if lv_bound
+                        else xd not in used and xs != xd
+                    ):
+                        break
+                w += 1
+            else:
+                return
+            if not u_bound:
+                assignment[pu] = du
+                used.add(du)
+            if not v_bound:
+                assignment[pv] = dv
+                used.add(dv)
+            join(k + 1, idx)
+            if not u_bound:
+                used.discard(du)
+            if not v_bound:
+                used.discard(dv)
+
+    first = candidate_lists[0]
+    pu0, pv0 = p_edges[0]
+    floor = start_index - 1 if m > 1 else max(start_index - 1, last_floor)
+    end_cap = base + len(e_time) - 1
+    for idx in islice(first, bisect_right(first, floor), None):
+        off = idx - base
+        du = e_src[off]
+        dv = e_dst[off]
+        if du == dv:
+            continue
+        t0 = e_time[off]
+        if m == 1:
+            spans.add((t0, t0))
+            continue
+        if max_span is not None:
+            cap = base + bisect_right(e_time, t0 + max_span, off) - 1
+            if cap < min_last_index:
+                continue
+        else:
+            cap = end_cap
+        assignment[pu0] = du
+        assignment[pv0] = dv
+        used = {du, dv}
+        if recorded:
+            recorded = set()
+        join(1, idx)
+    return spans
+
+
+def match_span(match: Match, graph: "TemporalGraph | EdgeIndexedSource") -> Span:
     """Return ``(start_time, end_time)`` of a match in ``graph``."""
     first = graph.edges[match.edge_indexes[0]].time
     last = graph.edges[match.edge_indexes[-1]].time

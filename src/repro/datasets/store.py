@@ -368,10 +368,13 @@ class CorpusStore:
             raise DatasetError(
                 f"corpus store {self._path}: dangling label id {lid}"
             )
-        label = row[0]
-        if len(self._id_labels) >= _LABEL_CACHE_CAP:
-            self._id_labels.pop(next(iter(self._id_labels)))
-        self._id_labels[lid] = label
+        return self._remember_label(lid, row[0])
+
+    def _remember_label(self, lid: int, label: str) -> str:
+        if lid not in self._id_labels:
+            if len(self._id_labels) >= _LABEL_CACHE_CAP:
+                self._id_labels.pop(next(iter(self._id_labels)))
+            self._id_labels[lid] = label
         return label
 
     # ------------------------------------------------------------------
@@ -644,17 +647,29 @@ class CorpusStore:
         The store-level face of the one-edge substructure index: a query
         pattern containing a pair absent from this set cannot match
         anywhere in the partition, so callers skip it without decoding a
-        single edge page.
+        single edge page.  One statement resolves the label ids too, and
+        the resolved labels warm the cache that :meth:`window` decodes
+        node labels through.
         """
+        pairs: set[tuple[str, str]] = set()
         with self._wrap():
-            return {
-                (self._label_of(src), self._label_of(dst))
-                for src, dst in self._conn.execute(
-                    "SELECT DISTINCT p.src_label, p.dst_label FROM pair_index p"
-                    " JOIN graphs g ON g.gid = p.gid WHERE g.partition = ?",
-                    (partition,),
-                )
-            }
+            for src, dst, src_label, dst_label in self._conn.execute(
+                "SELECT DISTINCT p.src_label, p.dst_label, s.label, d.label"
+                " FROM pair_index p JOIN graphs g ON g.gid = p.gid"
+                " LEFT JOIN labels s ON s.id = p.src_label"
+                " LEFT JOIN labels d ON d.id = p.dst_label"
+                " WHERE g.partition = ?",
+                (partition,),
+            ):
+                if src_label is None or dst_label is None:
+                    dangling = src if src_label is None else dst
+                    raise DatasetError(
+                        f"corpus store {self._path}: dangling label id {dangling}"
+                    )
+                self._remember_label(src, src_label)
+                self._remember_label(dst, dst_label)
+                pairs.add((src_label, dst_label))
+        return pairs
 
     def graphs_with_pair(
         self, src_label: str, dst_label: str

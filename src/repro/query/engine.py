@@ -39,17 +39,10 @@ from repro.baselines.gspan import (
 from repro.baselines.nodeset import NodeSetQuery
 from repro.core.errors import GraphError, QueryError
 from repro.core.graph import TemporalGraph
-from repro.core.graph_index import (
-    DEFAULT_MATCH_LIMIT,
-    CandidateFilter,
-    find_matches,
-    match_span,
-)
+from repro.core.graph_index import CandidateFilter, Span, find_spans
 from repro.core.pattern import TemporalPattern
 
 __all__ = ["QueryEngine"]
-
-Span = tuple[int, int]
 
 
 class QueryEngine:
@@ -73,34 +66,27 @@ class QueryEngine:
                     "repro.core.concurrent) or pass an already-frozen graph"
                 ) from exc
         self.graph = graph
-        # warm the graph's flat edge columns so the kernel-path join in
-        # find_matches (and the scans below) never pay a lazy build
-        # inside a timed query
+        # warm the graph's flat edge columns so the span join (and the
+        # scans below) never pay a lazy build inside a timed query
         graph.edge_arrays()
         self.filter = CandidateFilter() if use_index else None
 
     # ------------------------------------------------------------------
     # temporal behavior queries (TGMiner)
     # ------------------------------------------------------------------
-    def search_temporal(
-        self,
-        pattern: TemporalPattern,
-        max_span: int,
-        match_limit: int = DEFAULT_MATCH_LIMIT,
-    ) -> list[Span]:
-        """Distinct spans of temporal matches within the span cap."""
+    def search_temporal(self, pattern: TemporalPattern, max_span: int) -> list[Span]:
+        """Distinct spans of the temporal matches within the span cap.
+
+        Exact however many matches share a span: :func:`find_spans`
+        never enumerates them.
+        """
         if max_span < 0:
             raise QueryError("max_span must be non-negative")
         if self.filter is not None and not self.filter.pattern_vs_graph(
             pattern, self.graph
         ):
             return []
-        spans: set[Span] = set()
-        for match in find_matches(
-            pattern, self.graph, max_span=max_span, limit=match_limit
-        ):
-            spans.add(match_span(match, self.graph))
-        return sorted(spans)
+        return sorted(find_spans(pattern, self.graph, max_span=max_span))
 
     def search_query(self, query) -> list[Span]:
         """Spans for one registered-style behavior query.

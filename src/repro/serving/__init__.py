@@ -25,8 +25,8 @@ serving half of that deployment:
   :func:`serve_http`, the stdlib HTTP tier exposing ingest, stats,
   registry management, hot reload, and canary promotion over ``/v1/*``.
 
-Batch and streaming share one matching core
-(:func:`repro.core.graph_index.find_matches`): the batch
+Batch and streaming share one span join
+(:func:`repro.core.graph_index.find_spans`): the batch
 :class:`~repro.query.engine.QueryEngine` is "ingest everything, then
 flush" over the same join.
 

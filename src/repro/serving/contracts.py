@@ -119,7 +119,8 @@ class Ingestor(Protocol):
 
     @property
     def stats(self):
-        """Current ingest statistics (``.as_dict()`` → shared schema)."""
+        """Current ingest statistics (``.batches`` is read per request;
+        ``.as_dict()`` → shared schema)."""
         ...
 
     def close(self) -> None:

@@ -290,7 +290,7 @@ class DetectionServer:
                 return {
                     "ingested": len(events),
                     "detections": serialized,
-                    "batch": self.handle.stats.as_dict()["batches"] - 1,
+                    "batch": self.handle.stats.batches - 1,
                 }
         finally:
             with self._gate:

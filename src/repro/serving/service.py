@@ -7,26 +7,24 @@
 registry's one-pass signature prefilter against the window's online
 signature, and evaluates only the surviving queries — and only against
 the newly-ingested delta.  Incrementality comes from the shared matching
-core (:func:`repro.core.graph_index.find_matches`):
+core's span join (:func:`repro.core.graph_index.find_spans`):
 
-* ``min_last_index`` pins every reported match's *last* edge into the
-  batch delta, so matches already reported by earlier batches are never
-  re-enumerated;
+* ``min_last_index`` pins every reported span's *last* edge into the
+  batch delta, so spans already reported by earlier batches are never
+  re-derived;
 * ``start_index`` starts the join at the earliest edge that could open
   an in-cap match ending in the delta (``delta_min_time - max_span``),
   so per-batch work scales with the query's span, not the window size;
-* the join itself runs on the kernel fast path: the window's flat
-  ``(src, dst, time)`` edge columns, maintained incrementally by
-  :meth:`StreamingGraph.edge_arrays` across ingest and eviction, are
-  scanned instead of per-edge objects (see :mod:`repro.core.kernel`).
+* the join reads the window's flat ``(src, dst, time)`` edge columns,
+  maintained incrementally by :meth:`StreamingGraph.edge_arrays` across
+  ingest and eviction, in place.
 
 Detections are deduplicated by ``(query, span)``, matching the batch
 engine's span semantics: accumulating the detections of a replayed log
 yields exactly the span set ``QueryEngine.search_temporal`` reports on
 the frozen whole — the equivalence `tests/test_serving.py` asserts.
-(The guarantee assumes match counts stay under
-:data:`~repro.core.graph_index.DEFAULT_MATCH_LIMIT` per batch; see
-:meth:`DetectionService._new_spans`.)
+Both sides compute exact span sets, with no match cap, so the
+equivalence holds for every query, however many matches it has.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faults import FaultPlan
 
 from repro.core.errors import ServingError
-from repro.core.graph_index import DEFAULT_MATCH_LIMIT, find_matches, match_span
+from repro.core.graph_index import Span, find_spans
 from repro.core.pattern import TemporalPattern
 from repro.serving.contracts import STATS_SCHEMA_KEYS, STATS_SCHEMA_VERSION
 from repro.serving.registry import BehaviorQuery, QueryRegistry
@@ -56,8 +54,6 @@ __all__ = [
     "STATS_SCHEMA_KEYS",
     "merged_latency_percentile",
 ]
-
-Span = tuple[int, int]
 
 #: Default latency-reservoir size.  4096 samples keep the nearest-rank
 #: p95/p99 within a fraction of a rank percentile of the exact answer
@@ -447,17 +443,13 @@ class DetectionService:
         if self.graph.num_edges:
             start_index = self.graph.first_live_index
             for query_id, query in registry:
-                seen[query_id] = {
-                    match_span(match, self.graph)
-                    for match in find_matches(
-                        query.pattern,
-                        self.graph,
-                        max_span=query.max_span,
-                        limit=DEFAULT_MATCH_LIMIT,
-                        start_index=start_index,
-                        min_last_index=start_index,
-                    )
-                }
+                seen[query_id] = find_spans(
+                    query.pattern,
+                    self.graph,
+                    max_span=query.max_span,
+                    start_index=start_index,
+                    min_last_index=start_index,
+                )
         self.registry = registry
         self._seen = seen
         self.reloads += 1
@@ -542,32 +534,21 @@ class DetectionService:
 
         Any such match has its last edge at time ``>= delta_min_time``,
         so its first edge cannot predate ``delta_min_time - max_span`` —
-        the join starts there instead of at the window edge.  Enumeration
-        shares the batch engine's safety valve
-        (:data:`DEFAULT_MATCH_LIMIT`), but applies it *per query per
-        batch*, whereas the batch engine applies it once per whole-log
-        search — so once a query saturates the limit in any single
-        search, streaming may report more (or different) spans than
-        batch.  The batch-equivalence contract therefore holds only for
-        queries whose match counts stay under the limit in every batch
-        as well as in the one-shot search.
+        the join starts there instead of at the window edge.
         """
         start_index = max(
             self.graph.first_live_index,
             self.graph.index_after_time(delta_min_time - query.max_span),
         )
-        spans = {
-            match_span(match, self.graph)
-            for match in find_matches(
+        return sorted(
+            find_spans(
                 query.pattern,
                 self.graph,
                 max_span=query.max_span,
-                limit=DEFAULT_MATCH_LIMIT,
                 start_index=start_index,
                 min_last_index=delta_start,
             )
-        }
-        return sorted(spans)
+        )
 
     def _prune_seen(self) -> None:
         """Forget reported spans that can no longer be rediscovered.

@@ -14,7 +14,7 @@ which equals time order within the live window — and keeps that id for its
 whole life.  Evicting old edges never renumbers the survivors, so the
 per-label-pair candidate lists stay valid (their dead prefixes are skipped
 by the matcher's ``start_index`` frontier and compacted away lazily), and
-:func:`repro.core.graph_index.find_matches` runs unchanged against a live
+the joins of :mod:`repro.core.graph_index` run unchanged against a live
 window: the graph satisfies the matcher's
 :class:`~repro.core.graph_index.EdgeIndexedSource` protocol.
 
@@ -189,8 +189,8 @@ class StreamingGraph:
         """The live window's kernel: flat ``(base, src, dst, time)`` columns.
 
         Position ``id - base`` of each column describes the edge with
-        global id ``id`` — exactly what the array join in
-        :func:`repro.core.graph_index.find_matches` consumes.  The
+        global id ``id`` — exactly what the joins in
+        :mod:`repro.core.graph_index` consume.  The
         columns are the maintained-in-place lists, so the returned view
         is only valid until the next :meth:`ingest`.
         """

@@ -101,6 +101,21 @@ class TestPlainEndpoints:
             ("chain-abc#1", 0, 1)
         ]
 
+    def test_ingest_never_computes_latency_percentiles(self, server, monkeypatch):
+        """An ingest reply reads the batch counter only: a stats snapshot
+        sorts the latency reservoir, a per-request cost that grows with
+        uptime."""
+        from repro.serving.service import LatencyReservoir
+
+        def refuse(_reservoir, _quantile):
+            raise AssertionError("ingest computed a latency percentile")
+
+        monkeypatch.setattr(LatencyReservoir, "percentile", refuse)
+        for i in range(3):
+            status, body = post_events(server, chain_events(10 * i, i))
+            assert status == 200, body
+            assert body["batch"] == i
+
     def test_detections_ring_buffer_and_limit(self, server):
         post_events(server, chain_events(0, 0))
         post_events(server, chain_events(5, 1))

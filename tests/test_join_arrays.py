@@ -4,6 +4,7 @@
 buffer walk) that must behave identically to the legacy object join in
 the corners: empty candidate lists, scan windows straddling a streaming
 eviction boundary, and match limits cutting a mask batch mid-iteration.
+The span join shares the dead-prefix defense.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import repro.core.graph_index as graph_index
 from repro.core import buffers
 from repro.core.graph import TemporalGraph
-from repro.core.graph_index import find_matches
+from repro.core.graph_index import find_matches, find_spans
 from repro.core.pattern import TemporalPattern
 from repro.serving.streaming import StreamingGraph
 from repro.syscall.events import SyscallEvent
@@ -149,6 +150,29 @@ class TestEvictionBoundary:
                 )
             )
 
+    def test_span_join_refuses_dead_prefix(self):
+        """``find_spans`` runs the same defense before joining."""
+
+        class StaleSource:
+            frozen = True
+            num_edges = 5
+
+            def edges_between(self, src_label, dst_label):
+                return [2, 5, 7]  # id 2 predates the compaction base of 5
+
+            def edge_arrays(self):
+                return (
+                    5,
+                    buffers.int_column([0] * 5),
+                    buffers.int_column([1] * 5),
+                    buffers.int_column([5, 6, 7, 8, 9]),
+                )
+
+        pattern = TemporalPattern(["A", "B"], [(0, 1)])
+        with pytest.raises(IndexError, match="compacted away"):
+            find_spans(pattern, StaleSource())
+        assert find_spans(pattern, StaleSource(), start_index=5) == {(5, 5), (7, 7)}
+
 
 class TestLimitMidBatch:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -174,7 +198,7 @@ class TestLimitMidBatch:
         buffers.force_backend(backend)
         graph = _burst_graph(edges=14)
         pattern = TemporalPattern(["A", "B"], [(0, 1), (0, 1), (0, 1)])
-        # stand-in for the engine-level cap: small enough to hit mid-run
+        # a cap small enough to hit mid-run
         cap = 5
         legacy = list(
             find_matches(pattern, graph, limit=cap, use_kernel=False)

@@ -6,7 +6,10 @@
 * sequence encodings are consistent with Lemma 5's premises;
 * the three temporal-join implementations (legacy objects, scalar
   buffers, vectorized masks) enumerate byte-identical match sequences
-  on seeded adversarial logs, batch and streaming alike.
+  on seeded adversarial logs, batch and streaming alike;
+* the span join (``find_spans``) returns exactly the span set of the
+  uncapped match enumeration, batch and streaming alike, including on a
+  log with far more matches than spans.
 """
 
 import random
@@ -19,12 +22,19 @@ from repro.core import buffers
 from repro.core.brute import contains_pattern, enumerate_matches
 from repro.core.concurrent import sequentialize
 from repro.core.graph import TemporalEdge, TemporalGraph
-from repro.core.graph_index import GraphIndexTester, find_matches
+from repro.core.graph_index import (
+    GraphIndexTester,
+    find_matches,
+    find_spans,
+    match_span,
+)
 from repro.core.miner import MinerConfig, TGMiner, miner_variant
 from repro.core.pattern import TemporalPattern
 from repro.core.sequence import encode
 from repro.core.subgraph import SequenceSubgraphTester
 from repro.core.vf2 import VF2SubgraphTester
+from repro.query.engine import QueryEngine
+from repro.serving.service import DetectionService
 from repro.serving.streaming import StreamingGraph
 from repro.syscall.events import SyscallEvent
 
@@ -238,6 +248,25 @@ def _match_key(matches):
     return [(m.nodes, m.edge_indexes) for m in matches]
 
 
+def _as_events(graph):
+    """The graph's edges as syscall events (node ``i`` keyed ``n<i>``)."""
+    return [
+        SyscallEvent(
+            time=edge.time,
+            syscall="op",
+            src_key=f"n{edge.src}",
+            src_label=graph.label(edge.src),
+            dst_key=f"n{edge.dst}",
+            dst_label=graph.label(edge.dst),
+        )
+        for edge in graph.edges
+    ]
+
+
+def _backends():
+    return ("numpy", "array") if buffers.have_numpy() else ("array",)
+
+
 @pytest.fixture
 def restore_backend():
     yield
@@ -307,17 +336,7 @@ class TestJoinByteIdentityHarness:
         adversary = _ADVERSARIES[seed % len(_ADVERSARIES)]
         source = adversary(rng)
         stream = StreamingGraph(window_span=rng.randint(4, 12), name="live")
-        events = [
-            SyscallEvent(
-                time=edge.time,
-                syscall="op",
-                src_key=f"n{edge.src}",
-                src_label=source.label(edge.src),
-                dst_key=f"n{edge.dst}",
-                dst_label=source.label(edge.dst),
-            )
-            for edge in source.edges
-        ]
+        events = _as_events(source)
         # ingest in ragged batches so eviction/compaction actually happens
         while events:
             k = rng.randint(1, 4)
@@ -344,3 +363,156 @@ class TestJoinByteIdentityHarness:
                     )
                 ]
                 assert got == want, f"{backend} streaming join diverged"
+
+
+# ----------------------------------------------------------------------
+# span join exactness
+# ----------------------------------------------------------------------
+
+
+def _spans_of_matches(pattern, graph, **kwargs):
+    """The oracle: distinct spans of the uncapped match enumeration."""
+    return {match_span(m, graph) for m in find_matches(pattern, graph, **kwargs)}
+
+
+class TestSpanJoinExactness:
+    """``find_spans`` equals the oracle's span set on adversarial logs.
+
+    Each case runs with the endpoint-index threshold at 0 (every list
+    indexed) and at its default (these small logs scan directly), on
+    every backend, under span caps of none, small and large, and with
+    random ``start_index`` / ``min_last_index`` floors.
+    """
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_batch_spans_exact(self, seed, monkeypatch, restore_backend):
+        rng = random.Random(5000 + seed)
+        graph = _ADVERSARIES[seed % len(_ADVERSARIES)](rng)
+        n = graph.num_edges
+        cases = [
+            (
+                _query_for(rng, graph),
+                dict(
+                    max_span=max_span,
+                    start_index=rng.choice((0, rng.randrange(n))),
+                    min_last_index=rng.choice((0, rng.randrange(n))),
+                ),
+            )
+            for _ in range(3)
+            for max_span in (None, rng.randint(0, 3), 10**6)
+        ]
+        default = graph_index._INDEX_MIN_CANDIDATES
+        for backend in _backends():
+            buffers.force_backend(backend)
+            for threshold in (0, default):
+                monkeypatch.setattr(graph_index, "_INDEX_MIN_CANDIDATES", threshold)
+                for pattern, kwargs in cases:
+                    assert find_spans(pattern, graph, **kwargs) == (
+                        _spans_of_matches(pattern, graph, **kwargs)
+                    ), f"{backend} index>={threshold} {pattern.key()} {kwargs}"
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_evicting_stream_delta_spans_exact(
+        self, seed, monkeypatch, restore_backend
+    ):
+        """Per-batch delta searches over a live evicting window — the
+        service's call shape — equal the oracle on the same window."""
+        rng = random.Random(6000 + seed)
+        source = _ADVERSARIES[seed % len(_ADVERSARIES)](rng)
+        events = _as_events(source)
+        pattern = _query_for(rng, source)
+        max_span = rng.choice((None, rng.randint(1, 6)))
+        window = rng.randint(4, 12)
+        splits = []
+        while sum(splits) < len(events):
+            splits.append(rng.randint(1, 4))
+        default = graph_index._INDEX_MIN_CANDIDATES
+        for backend in _backends():
+            buffers.force_backend(backend)
+            for threshold in (0, default):
+                monkeypatch.setattr(graph_index, "_INDEX_MIN_CANDIDATES", threshold)
+                stream = StreamingGraph(window_span=window, name="live")
+                offset = 0
+                for size in splits:
+                    delta = stream.ingest(events[offset : offset + size])
+                    offset += size
+                    start = stream.first_live_index
+                    if max_span is not None:
+                        start = max(
+                            start, stream.index_after_time(delta.min_time - max_span)
+                        )
+                    kwargs = dict(
+                        max_span=max_span,
+                        start_index=start,
+                        min_last_index=delta.start_index,
+                    )
+                    assert find_spans(pattern, stream, **kwargs) == (
+                        _spans_of_matches(pattern, stream, **kwargs)
+                    ), f"{backend} index>={threshold} after {offset} events"
+
+
+class TestManyMatchesPerSpan:
+    """120 edges between one ``A -> B`` node pair, pattern ``A -> B``
+    three times: C(120, 3) = 280,840 matches, but only the 7,021 spans
+    ``(t_i, t_k)`` with ``k >= i + 2``.  Batch and streaming must both
+    report exactly those; any match cap below 280,840 loses spans here
+    (at 200,000 the batch answer has 4,018)."""
+
+    EDGES = 120
+    PATTERN = TemporalPattern(["A", "B"], [(0, 1), (0, 1), (0, 1)])
+    MAX_SPAN = 200
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        spans = {
+            (i, k) for i in range(self.EDGES) for k in range(i + 2, self.EDGES)
+        }
+        assert len(spans) == 7021
+        return spans
+
+    @pytest.fixture(scope="class")
+    def events(self):
+        return [
+            SyscallEvent(
+                time=t,
+                syscall="op",
+                src_key="a",
+                src_label="A",
+                dst_key="b",
+                dst_label="B",
+            )
+            for t in range(self.EDGES)
+        ]
+
+    def test_batch_engine_is_exact(self, exact):
+        graph = TemporalGraph(name="pair")
+        a = graph.add_node("A")
+        b = graph.add_node("B")
+        for t in range(self.EDGES):
+            graph.add_edge(a, b, t)
+        spans = QueryEngine(graph).search_temporal(self.PATTERN, self.MAX_SPAN)
+        assert spans == sorted(exact)
+
+    @pytest.mark.parametrize("split", [None, 1, 3, 11])
+    def test_streaming_is_exact(self, exact, events, split):
+        """Whole log in one batch, one event per batch, and two ragged
+        splits (seeded batch sizes of 1-17 events)."""
+        if split is None:
+            sizes = [self.EDGES]
+        elif split == 1:
+            sizes = [1] * self.EDGES
+        else:
+            rng = random.Random(split)
+            sizes = []
+            while sum(sizes) < self.EDGES:
+                sizes.append(rng.randint(1, 17))
+        service = DetectionService()
+        service.register(name="pair", pattern=self.PATTERN, max_span=self.MAX_SPAN)
+        spans = []
+        offset = 0
+        for size in sizes:
+            detections = service.ingest(events[offset : offset + size])
+            spans.extend(d.span for d in detections)
+            offset += size
+        assert len(spans) == len(set(spans)), "a span was reported twice"
+        assert set(spans) == exact

@@ -71,11 +71,6 @@ class TestTemporalSearch:
         with pytest.raises(QueryError):
             QueryEngine(log_graph).search_temporal(PATTERN, max_span=-1)
 
-    def test_match_limit(self, log_graph):
-        engine = QueryEngine(log_graph)
-        spans = engine.search_temporal(PATTERN, max_span=100, match_limit=1)
-        assert len(spans) == 1
-
 
 class TestNonTemporalSearch:
     def test_order_free_matching(self, log_graph):

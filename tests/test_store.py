@@ -9,6 +9,7 @@ for parallel mining.
 """
 
 import random
+import re
 import sqlite3
 
 import pytest
@@ -267,6 +268,35 @@ class TestPairIndex:
 
     def test_absent_pair_is_empty(self, store):
         assert store.graphs_with_pair("no-such-label", "proc:sshd") == []
+
+    def test_pair_labels_reads_labels_once(self, tmp_path):
+        """One statement resolves every label of the partition, and a
+        window decoded after it reads the ``labels`` table no more."""
+        path = tmp_path / "s.store"
+        g = build_graph(
+            [(0, 1, 0), (1, 2, 4), (2, 0, 9)], labels=["A", "B", "C"], name="g"
+        )
+        with CorpusStore.create(path) as s:
+            s.add_log("log", graph=g)
+        statements = []
+        with CorpusStore.open(path) as s:
+            s._conn.set_trace_callback(statements.append)
+            assert s.pair_labels("log") == {("A", "B"), ("B", "C"), ("C", "A")}
+            assert s.window("log", 0, 9).num_edges == 3
+        assert sum(bool(re.search(r"\blabels\b", sql)) for sql in statements) == 1
+
+    def test_pair_labels_refuses_dangling_label_id(self, tmp_path):
+        path = tmp_path / "s.store"
+        g = build_graph([(0, 1, 0), (1, 0, 4)], labels=["A", "B"], name="g")
+        with CorpusStore.create(path) as s:
+            s.add_graph("p", g)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("DELETE FROM labels WHERE label = 'B'")
+        conn.close()
+        with CorpusStore.open(path) as s:
+            with pytest.raises(DatasetError, match="dangling label id"):
+                s.pair_labels("p")
 
 
 class TestMiningIdentity:
