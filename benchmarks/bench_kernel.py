@@ -1,60 +1,55 @@
-"""Kernel micro-ablation: legacy object path vs interned-label CSR kernel.
+"""Match-join micro-ablation: vectorized numpy join vs scalar column join.
 
-The data-plane refactor (:mod:`repro.core.kernel`) claims two things:
+The temporal index join (:func:`repro.core.graph_index.find_matches`)
+has two forms over the same flat edge columns, one per buffer backend
+(:mod:`repro.core.buffers`): the vectorized join (numpy backend) rejects
+candidate windows with batched equality masks, the scalar join
+(``array`` backend, the stdlib fallback) walks them one candidate at a
+time.  This benchmark claims two things:
 
-1. **byte-identity** — embedding extension and the temporal index join
-   produce exactly the same tables / match sequences on both paths;
-2. **speed** — on data-scale graphs the kernel path wins by at least
-   ``BENCH_MIN_KERNEL_SPEEDUP`` (default 2x): extension walks only the
-   CSR runs incident to an embedding instead of scanning every residual
-   edge, and the join reads flat int columns instead of edge objects.
+1. **byte-identity** — both forms enumerate exactly the same match
+   sequence on this workload (``identical``);
+2. **speed** — on the numpy backend the vectorized join beats the
+   scalar one by at least ``BENCH_MIN_MATCH_SPEEDUP`` (default 1.5x,
+   ``match_speedup``).
 
 The workload is a busy-host test log (the regime the query engine and
-the streaming service actually operate in): a growth sweep extends every
-seed pattern's embedding table for ``DEPTH`` generations following the
-first ``FAN`` children, and a match sweep runs ``find_matches`` for a
-battery of behavior-query skeletons over the log's coarse-label query
-view (see ``_QUERY_BATTERY`` — the selective-mask regime the vectorized
-join targets, reported separately as ``match_speedup``).  Both modes run
-the identical workload best-of-``BENCH_KERNEL_REPEATS``; the combined
-ratio lands in ``BENCH_kernel.json`` and is trend-gated by
-``check_regression.py``.
+the streaming service operate in): a match sweep runs ``find_matches``
+for a battery of behavior-query skeletons over the log's coarse-label
+query view (see ``_QUERY_BATTERY``), best-of-``BENCH_KERNEL_REPEATS``
+per form.  The ratio lands in ``BENCH_kernel.json`` and is trend-gated
+by ``check_regression.py``.
 
-The micro-ablation needs a graph large enough for the scan/incident gap
-to be the signal rather than noise, so the log size has a floor of
+The micro-ablation needs a log large enough for the mask savings to be
+the signal rather than noise, so the log size has a floor of
 ``KERNEL_MIN_INSTANCES`` behavior instances even at smoke scale.
 """
 
 import os
 import time
+from contextlib import contextmanager
 
+from repro.core import buffers
 from repro.core.buffers import backend_name
 from repro.core.graph import TemporalGraph
 from repro.core.graph_index import find_matches
-from repro.core.growth import extend_embeddings, seed_patterns
-from repro.core.kernel import LabelInterner, build_kernels
 from repro.core.pattern import TemporalPattern
 from repro.syscall import build_test_data
 
 from benchmarks.bench_common import TEST_INSTANCES, emit, once, write_json
 
-#: Growth-sweep shape: generations per seed / children followed per level.
-DEPTH = int(os.environ.get("BENCH_KERNEL_DEPTH", 2))
-FAN = int(os.environ.get("BENCH_KERNEL_FAN", 3))
-#: Best-of-N timing repeats per mode.
+#: Best-of-N timing repeats per join form.
 REPEATS = int(os.environ.get("BENCH_KERNEL_REPEATS", 3))
-#: Combined-speedup floor the kernel path must clear (0 disables).
-MIN_KERNEL_SPEEDUP = float(os.environ.get("BENCH_MIN_KERNEL_SPEEDUP", 2.0))
 #: Match-sweep floor for the vectorized join (0 disables).  Only
-#: enforced on the numpy backend — the stdlib ``array`` fallback trades
-#: match speed for zero dependencies and is pinned by identity alone.
+#: enforced on the numpy backend — without numpy both forms are the
+#: scalar join, pinned by identity alone.
 MIN_MATCH_SPEEDUP = float(os.environ.get("BENCH_MIN_MATCH_SPEEDUP", 1.5))
 #: Smallest meaningful ablation input (see module docstring).
 KERNEL_MIN_INSTANCES = int(os.environ.get("BENCH_KERNEL_MIN_INSTANCES", 12))
 
 MATCH_SPAN = 480
 #: Per-search match cap of the sweep (the enumeration stays bounded on
-#: the densest skeletons; both modes stop at the same match).
+#: the densest skeletons; both forms stop at the same match).
 MATCH_LIMIT = 200_000
 
 #: Behavior-query skeletons for the match sweep, written over the coarse
@@ -63,9 +58,8 @@ MATCH_LIMIT = 200_000
 #: each label pair indexes hundreds of candidate edges spread over many
 #: distinct node pairs, so a bound endpoint rejects most of a scan
 #: window — exactly what the batched equality masks buy over a scalar
-#: walk.  The fine-labeled log (where a label like ``proc:rsyslog``
-#: names a single node and masks reject nothing) stays the *growth*
-#: workload above.
+#: walk.  On the fine-labeled log a label like ``proc:rsyslog`` names
+#: a single node and masks reject nothing.
 _QUERY_BATTERY = [
     # proc spawns proc which touches a file (dropper chain)
     TemporalPattern(["proc", "proc", "file"], [(0, 1), (1, 2)]),
@@ -99,171 +93,119 @@ def _coarse_view(graph):
     return view
 
 
-def _growth_sweep(corpus, seeds, kernels, use_kernel):
-    """Extend every seed table for DEPTH generations; returns a checksum."""
+@contextmanager
+def _backend(name):
+    """Run the block on buffer backend ``name``, then restore the override."""
+    previous = buffers._FORCED
+    buffers.force_backend(name)
+    try:
+        yield
+    finally:
+        buffers.force_backend(previous)
+
+
+def _matches(patterns, graph, backend):
+    """Every capped match sequence of the sweep, joined on ``backend``."""
+    with _backend(backend):
+        return [
+            list(find_matches(pattern, graph, max_span=MATCH_SPAN, limit=MATCH_LIMIT))
+            for pattern in patterns
+        ]
+
+
+def _match_sweep(patterns, graph, backend):
+    """Capped searches for every pattern on ``backend``; the match count."""
     total = 0
-    for key in sorted(seeds):
-        frontier = [seeds[key]]
-        for _ in range(DEPTH):
-            nxt = []
-            for table in frontier:
-                ext = extend_embeddings(
-                    corpus, table, kernels, use_kernel=use_kernel
-                )
-                total += len(ext)
-                for child_key in sorted(ext)[:FAN]:
-                    nxt.append(ext[child_key])
-            frontier = nxt[:FAN]
+    with _backend(backend):
+        for pattern in patterns:
+            for _ in find_matches(
+                pattern, graph, max_span=MATCH_SPAN, limit=MATCH_LIMIT
+            ):
+                total += 1
     return total
 
 
-def _match_sweep(patterns, graph, use_kernel):
-    """Capped searches for every pattern; returns the match count."""
-    total = 0
-    for pattern in patterns:
-        for _ in find_matches(
-            pattern,
-            graph,
-            max_span=MATCH_SPAN,
-            limit=MATCH_LIMIT,
-            use_kernel=use_kernel,
-        ):
-            total += 1
-    return total
+def _timed_sweeps(patterns, graph, backends):
+    """Best-of-``REPEATS`` sweep time and match count per backend.
 
-
-def _best_of(fn, *args):
-    best = float("inf")
-    result = None
+    The backends alternate within each repeat, so a host whose speed
+    drifts during the run skews both timings alike.
+    """
+    best = [float("inf")] * len(backends)
+    counts = [0] * len(backends)
     for _ in range(max(1, REPEATS)):
-        started = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - started)
-    return best, result
+        for i, backend in enumerate(backends):
+            started = time.perf_counter()
+            counts[i] = _match_sweep(patterns, graph, backend)
+            best[i] = min(best[i], time.perf_counter() - started)
+    return best, counts
 
 
-def test_kernel_vs_legacy_ablation(benchmark):
+def test_vectorized_join_ablation(benchmark):
     instances = max(TEST_INSTANCES, KERNEL_MIN_INSTANCES)
     test = build_test_data(instances=instances)
     graph = test.graph
     graph.freeze()
-    corpus = [graph]
-    kernels = build_kernels(corpus, LabelInterner())
-    seeds = seed_patterns(corpus, use_index=True)
     query_view = _coarse_view(graph)
     patterns = _QUERY_BATTERY
+    # the auto backend: numpy when installed, else the scalar join again
+    vector = backend_name()
 
     def run():
-        # identity first: the kernel path must reproduce the legacy
-        # tables and match sequences exactly on this exact workload
-        identical = True
-        for key in sorted(seeds)[:40]:
-            legacy_ext = extend_embeddings(corpus, seeds[key], use_kernel=False)
-            kernel_ext = extend_embeddings(corpus, seeds[key], kernels)
-            identical = identical and legacy_ext == kernel_ext
-        for pattern in patterns:
-            legacy_matches = list(
-                find_matches(
-                    pattern,
-                    query_view,
-                    max_span=MATCH_SPAN,
-                    limit=MATCH_LIMIT,
-                    use_kernel=False,
-                )
-            )
-            kernel_matches = list(
-                find_matches(
-                    pattern,
-                    query_view,
-                    max_span=MATCH_SPAN,
-                    limit=MATCH_LIMIT,
-                )
-            )
-            identical = identical and legacy_matches == kernel_matches
-
-        growth_legacy, checksum_legacy = _best_of(
-            _growth_sweep, corpus, seeds, None, False
+        # identity first: both join forms must enumerate the same match
+        # sequences on this exact workload
+        identical = _matches(patterns, query_view, "array") == _matches(
+            patterns, query_view, vector
         )
-        growth_kernel, checksum_kernel = _best_of(
-            _growth_sweep, corpus, seeds, kernels, True
+        (match_scalar, match_vector), (count_scalar, count_vector) = _timed_sweeps(
+            patterns, query_view, ("array", vector)
         )
-        identical = identical and checksum_legacy == checksum_kernel
-        match_legacy, count_legacy = _best_of(
-            _match_sweep, patterns, query_view, False
-        )
-        match_kernel, count_kernel = _best_of(
-            _match_sweep, patterns, query_view, True
-        )
-        identical = identical and count_legacy == count_kernel
         return {
-            "identical": identical,
-            "growth_legacy": growth_legacy,
-            "growth_kernel": growth_kernel,
-            "match_legacy": match_legacy,
-            "match_kernel": match_kernel,
-            "matches": count_kernel,
+            "identical": identical and count_scalar == count_vector,
+            "match_scalar": match_scalar,
+            "match_vector": match_vector,
+            "matches": count_vector,
         }
 
     rows = once(benchmark, run)
-    growth_speedup = rows["growth_legacy"] / max(rows["growth_kernel"], 1e-9)
-    match_speedup = rows["match_legacy"] / max(rows["match_kernel"], 1e-9)
-    legacy_total = rows["growth_legacy"] + rows["match_legacy"]
-    kernel_total = rows["growth_kernel"] + rows["match_kernel"]
-    speedup = legacy_total / max(kernel_total, 1e-9)
+    match_speedup = rows["match_scalar"] / max(rows["match_vector"], 1e-9)
 
-    emit("\n=== Kernel micro-ablation: legacy object path vs CSR kernel ===")
+    emit("\n=== Match-join micro-ablation: scalar column join vs vectorized ===")
     emit(
-        f"workload: {graph.num_edges} edges, {len(seeds)} seeds, "
-        f"depth {DEPTH} fan {FAN}, {len(patterns)} query skeletons "
-        f"(span cap {MATCH_SPAN}, coarse query view), best of {REPEATS}"
+        f"workload: {graph.num_edges} edges, {len(patterns)} query skeletons "
+        f"(span cap {MATCH_SPAN}, coarse query view), {rows['matches']} "
+        f"matches, best of {REPEATS}"
     )
-    emit(f"{'stage':8s} {'legacy':>9s} {'kernel':>9s} {'speedup':>8s}")
+    emit(f"{'stage':8s} {'scalar':>9s} {'vector':>9s} {'speedup':>8s}")
     emit(
-        f"{'growth':8s} {rows['growth_legacy']:8.3f}s {rows['growth_kernel']:8.3f}s "
-        f"{growth_speedup:7.2f}x"
-    )
-    emit(
-        f"{'match':8s} {rows['match_legacy']:8.3f}s {rows['match_kernel']:8.3f}s "
+        f"{'match':8s} {rows['match_scalar']:8.3f}s {rows['match_vector']:8.3f}s "
         f"{match_speedup:7.2f}x"
     )
-    emit(f"{'total':8s} {legacy_total:8.3f}s {kernel_total:8.3f}s {speedup:7.2f}x")
-    emit(f"vector backend: {backend_name()}")
+    emit(f"vector backend: {vector}")
 
     # the match ratio is only a vectorization claim when numpy is the
     # active backend; the regression gate reads this guard (same pattern
     # as BENCH_parallel's speedup_enforced on core-starved hosts)
-    match_enforced = backend_name() == "numpy" and MIN_MATCH_SPEEDUP > 0
+    match_enforced = vector == "numpy" and MIN_MATCH_SPEEDUP > 0
     write_json(
         "BENCH_kernel.json",
         {
             "edges": graph.num_edges,
             "instances": instances,
-            "depth": DEPTH,
-            "fan": FAN,
             "repeats": REPEATS,
             "matches": rows["matches"],
-            "growth_legacy_seconds": rows["growth_legacy"],
-            "growth_kernel_seconds": rows["growth_kernel"],
-            "match_legacy_seconds": rows["match_legacy"],
-            "match_kernel_seconds": rows["match_kernel"],
-            "growth_speedup": growth_speedup,
+            "match_scalar_seconds": rows["match_scalar"],
+            "match_vector_seconds": rows["match_vector"],
             "match_speedup": match_speedup,
-            "speedup": speedup,
             "identical": rows["identical"],
-            "vector_backend": backend_name(),
+            "vector_backend": vector,
             "match_speedup_enforced": match_enforced,
-            "min_speedup_required": MIN_KERNEL_SPEEDUP,
             "min_match_speedup_required": MIN_MATCH_SPEEDUP,
         },
     )
-    assert rows["identical"], "kernel path diverged from the legacy path"
-    if MIN_KERNEL_SPEEDUP > 0:
-        assert speedup >= MIN_KERNEL_SPEEDUP, (
-            f"kernel path only {speedup:.2f}x over legacy "
-            f"(floor {MIN_KERNEL_SPEEDUP}x)"
-        )
+    assert rows["identical"], "vectorized join diverged from the scalar join"
     if match_enforced:
         assert match_speedup >= MIN_MATCH_SPEEDUP, (
-            f"vectorized match join only {match_speedup:.2f}x over legacy "
-            f"(floor {MIN_MATCH_SPEEDUP}x, backend {backend_name()})"
+            f"vectorized match join only {match_speedup:.2f}x over the scalar "
+            f"join (floor {MIN_MATCH_SPEEDUP}x, backend {vector})"
         )

@@ -146,9 +146,10 @@ class BehaviorModel:
     def queries(self, behaviors: Sequence[str] | None = None) -> list[BehaviorQuery]:
         """Registrable behavior queries, optionally for a behavior subset.
 
-        Query names are ``<behavior>#<rank>`` in ranked order — the same
-        names ``mine --save-queries`` always emitted, so detections keyed
-        by query name stay comparable across the two formats.
+        Query names are ``<behavior>#<rank>`` in ranked order — the
+        names the bundle's ``queries.jsonl`` carries, so detections keyed
+        by query name stay comparable between ``detect --model`` and
+        ``detect --queries``.
         """
         names = list(behaviors) if behaviors is not None else list(self.behaviors)
         out: list[BehaviorQuery] = []

@@ -26,7 +26,6 @@ span-identical detections (asserted by ``tests/test_api.py``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -622,37 +621,6 @@ class Workspace:
         if [query_to_dict(q) for q in slate] != recovered_slate:
             wrapper.reload(slate)
         return wrapper
-
-    def serve_fleet(
-        self,
-        model: BehaviorModel,
-        shards: int = 1,
-        window_span: int | None = None,
-        behaviors: Sequence[str] | None = None,
-        use_prefilter: bool = True,
-        **fleet_options,
-    ) -> ServingHandle:
-        """Deprecated alias for :meth:`serve` with ``shards=``.
-
-        .. deprecated::
-            ``serve()`` is the one deployment entry point; it returns the
-            same fleet-backed :class:`~repro.serving.ServingHandle` this
-            does.  Call ``serve(model, shards=N, ...)`` instead.
-        """
-        warnings.warn(
-            "Workspace.serve_fleet() is deprecated; call "
-            "Workspace.serve(model, shards=N, ...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.serve(
-            model,
-            window_span=window_span,
-            behaviors=behaviors,
-            use_prefilter=use_prefilter,
-            shards=shards,
-            **fleet_options,
-        )
 
     def serve_http(
         self,

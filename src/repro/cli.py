@@ -19,13 +19,12 @@ Every subcommand is a thin wrapper over :class:`repro.api.Workspace` and
 reports, the SDK does the work.  ``mine --save-model`` / ``experiment
 --save-model`` persist the run as one versioned model bundle;
 ``detect --model`` serves a bundle mined in any other process
-(``--queries`` still accepts the bare jsonl format; ``mine
---save-queries`` keeps writing it but is deprecated in favor of the
-bundle).  ``pack`` re-packs a bundle between its directory and ``.tgm``
-zip forms, ``inspect`` prints a bundle's manifest summary.  Both
-``mine`` and ``detect`` accept ``--profile``, which wraps the run in
-``cProfile`` and appends the top-20 cumulative hot spots to the report —
-perf PRs should start from that data.
+(``--queries`` accepts the bare jsonl format, e.g. the ``queries.jsonl``
+of a bundle directory).  ``pack`` re-packs a bundle between its
+directory and ``.tgm`` zip forms, ``inspect`` prints a bundle's manifest
+summary.  Both ``mine`` and ``detect`` accept ``--profile``, which wraps
+the run in ``cProfile`` and appends the top-20 cumulative hot spots to
+the report — perf PRs should start from that data.
 
 ``serve`` (formerly an alias of ``detect``) is the long-running
 deployment command: it binds a model — given directly or taken from a
@@ -56,7 +55,7 @@ from repro.serving.fleet import (
     simulate_tenant_streams,
     tenant_key_for_separator,
 )
-from repro.serving.registry import load_queries_jsonl, save_queries_jsonl
+from repro.serving.registry import load_queries_jsonl
 from repro.serving.service import DetectionService
 from repro.syscall import BEHAVIOR_NAMES, SIZE_CLASSES
 
@@ -189,14 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         ".tgm zip) consumable by `detect --model` and `inspect`",
     )
     mine.add_argument(
-        "--save-queries",
-        default=None,
-        metavar="PATH",
-        help="(deprecated — prefer --save-model) also save the top-k "
-        "ranked patterns as a bare behavior-query jsonl file "
-        "consumable by `detect --queries`",
-    )
-    mine.add_argument(
         "--profile",
         action="store_true",
         help="run under cProfile and print the top-20 cumulative hot "
@@ -245,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     queries.add_argument(
         "--queries",
-        help="bare behavior-query jsonl from `mine --save-queries`",
+        help="bare behavior-query jsonl (e.g. queries.jsonl of a bundle "
+        "directory written by `pack`)",
     )
     source = det.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -510,12 +502,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.save_model:
         path = model.save(args.save_model)
         print(f"\nwrote model bundle to {path}")
-    if args.save_queries:
-        count = save_queries_jsonl(model.queries(), args.save_queries)
-        print(
-            f"\nwrote {count} behavior queries to {args.save_queries} "
-            "(deprecated format — prefer `--save-model`)"
-        )
     return 0
 
 

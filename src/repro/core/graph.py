@@ -55,8 +55,9 @@ class TemporalGraph:
     :meth:`freeze` time.
 
     The class supports cheap, index-backed access patterns needed by the
-    miner: edges sorted by time, per-node adjacency, per-label node lists,
-    and suffix label sets used for residual-graph bookkeeping.
+    miner: edges sorted by time, per-node adjacency, per-label node lists
+    and the one-edge label-pair index.  Residual-graph bookkeeping reads
+    the interned-label kernel (:meth:`kernel`).
     """
 
     def __init__(self, name: str = "") -> None:
@@ -70,7 +71,6 @@ class TemporalGraph:
         self._in: list[list[int]] = []
         self._label_nodes: dict[str, list[int]] = {}
         self._edge_times: list[int] = []
-        self._suffix_labels: list[frozenset[str]] = []
         self._pair_edges: dict[tuple[str, str], list[int]] = {}
         # Array-backed data plane (repro.core.kernel): contiguous int64
         # buffers (repro.core.buffers), built lazily on first use and
@@ -148,16 +148,6 @@ class TemporalGraph:
             self._in[edge.dst].append(idx)
             key = (self._labels[edge.src], self._labels[edge.dst])
             self._pair_edges.setdefault(key, []).append(idx)
-        # suffix_labels[i] = labels of nodes touched by edges i..end;
-        # suffix_labels[len(edges)] = empty set.
-        suffix: list[frozenset[str]] = [frozenset()] * (len(self._edges) + 1)
-        acc: set[str] = set()
-        for i in range(len(self._edges) - 1, -1, -1):
-            edge = self._edges[i]
-            acc.add(self._labels[edge.src])
-            acc.add(self._labels[edge.dst])
-            suffix[i] = frozenset(acc)
-        self._suffix_labels = suffix
 
     # ------------------------------------------------------------------
     # read access
@@ -295,15 +285,6 @@ class TemporalGraph:
         timestamp equals ``time`` (paper Section 4.2).
         """
         return self.num_edges - self.edge_index_after(time)
-
-    def suffix_label_set(self, edge_index: int) -> frozenset[str]:
-        """Labels of nodes incident to edges at positions ``>= edge_index``.
-
-        ``suffix_label_set(edge_index_after(t))`` is the residual node
-        label set ``L_R(G, G')`` for a match ending at time ``t``.
-        """
-        self._require_frozen()
-        return self._suffix_labels[edge_index]
 
     def span(self) -> tuple[int, int]:
         """Return ``(first, last)`` edge timestamps.

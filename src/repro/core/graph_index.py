@@ -10,7 +10,11 @@ adapts the subgraph-matching engine of [38] to temporal constraints).
 Joining in temporal order makes the total-order constraint free: pattern
 edge ``k+1`` may only join data edges whose index is strictly larger than
 the index matched for edge ``k``, so each partial match carries a frontier
-index and candidate lists are consumed via binary search.
+index and candidate lists are consumed via binary search.  Both joins
+(:func:`find_matches`, :func:`find_spans`) read the source's flat edge
+columns (``edge_arrays()``, see :mod:`repro.core.kernel`); the match
+join has a vectorized and a scalar form, one per
+:mod:`repro.core.buffers` backend, enumerating identical sequences.
 
 Two client roles:
 
@@ -46,7 +50,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 from repro.core.brute import Match
 from repro.core.buffers import active_numpy, as_ndarray
 from repro.core.graph import TemporalEdge, TemporalGraph
-from repro.core.kernel import LabelInterner
+from repro.core.kernel import EdgeArrays, LabelInterner
 from repro.core.pattern import TemporalPattern
 
 __all__ = [
@@ -79,6 +83,10 @@ class EdgeIndexedSource(Protocol):
     even after older edges were evicted).  ``edges_between`` lists must be
     sorted ascending and id order must equal time order — the temporal
     join relies on it for the frontier bisects and the span-cap break.
+    ``edge_arrays()`` returns the flat ``(base, src, dst, time)`` columns
+    the joins read, where position ``id - base`` describes edge ``id``:
+    frozen graphs build them once, ``StreamingGraph`` maintains them
+    across ingest and eviction.
     """
 
     @property
@@ -89,12 +97,7 @@ class EdgeIndexedSource(Protocol):
 
     def edges_between(self, src_label: str, dst_label: str) -> Sequence[int]: ...
 
-    # Flat columns (duck-typed, not part of the runtime check): an
-    # ``edge_arrays()`` method returning ``(base, src, dst, time)`` —
-    # position ``id - base`` describes edge ``id``.  find_matches joins
-    # over them when present (else over edge objects); find_spans
-    # requires them.  Frozen TemporalGraphs provide them from their
-    # kernel; StreamingGraph maintains them across ingest/evict.
+    def edge_arrays(self) -> EdgeArrays: ...
 
 
 def find_matches(
@@ -104,8 +107,6 @@ def find_matches(
     limit: int | None = None,
     start_index: int = 0,
     min_last_index: int = 0,
-    *,
-    use_kernel: bool = True,
 ) -> Iterator[Match]:
     """Yield matches of ``pattern`` in ``graph`` via index joins.
 
@@ -113,10 +114,9 @@ def find_matches(
     exact reference and the test oracle for :func:`find_spans`, which
     runs the same join for the span consumers (the batch
     :class:`~repro.query.engine.QueryEngine` and the streaming
-    :class:`~repro.serving.service.DetectionService`).  Any *edge-indexed
-    source* works: an object exposing ``num_edges``, an ``edges`` sequence
-    indexable by edge id, and ``edges_between(src_label, dst_label)``
-    returning time-sorted edge ids.
+    :class:`~repro.serving.service.DetectionService`).  Any
+    :class:`EdgeIndexedSource` works; the join reads its flat edge
+    columns (``edge_arrays()``) in place.
 
     Parameters
     ----------
@@ -142,11 +142,6 @@ def find_matches(
         Incremental evaluation passes the first newly-ingested id: every
         match whose last edge predates the delta was already reported by
         an earlier batch, so only genuinely new matches are enumerated.
-    use_kernel:
-        Join over the source's flat edge columns (``edge_arrays()``)
-        when it offers them — the kernel fast path.  ``False`` forces
-        the legacy per-edge-object join; both enumerate byte-identical
-        match sequences (the equivalence `tests/test_kernel.py` pins).
     """
     if not getattr(graph, "frozen", True):
         graph.freeze()
@@ -161,17 +156,10 @@ def find_matches(
         if not lst:
             return
         candidate_lists.append(lst)
-    arrays = getattr(graph, "edge_arrays", None) if use_kernel else None
-    if arrays is not None:
-        yield from _join_arrays(
-            pattern, arrays(), candidate_lists,
-            max_span, limit, start_index, min_last_index,
-        )
-    else:
-        yield from _join_objects(
-            pattern, graph.edges, candidate_lists,
-            max_span, limit, start_index, min_last_index,
-        )
+    yield from _join_arrays(
+        pattern, graph.edge_arrays(), candidate_lists,
+        max_span, limit, start_index, min_last_index,
+    )
 
 
 def _join_arrays(
@@ -189,9 +177,10 @@ def _join_arrays(
     candidate set big enough to amortize the batch gather) the
     :func:`_join_vectorized` candidate join runs; otherwise the scalar
     :func:`_join_buffers` loop walks the same buffers.  Both enumerate
-    the same match sequence as :func:`_join_objects`, byte for byte —
-    the randomized harness in ``tests/test_properties.py`` pins all
-    three against each other.
+    the same match sequence, byte for byte — the randomized harness in
+    ``tests/test_properties.py`` pins the vectorized join against the
+    scalar one, and ``tests/test_kernel.py`` the scalar one against the
+    brute-force oracle.
     """
     np = active_numpy()
     if np is not None and (
@@ -248,9 +237,8 @@ def _join_vectorized(
       Python int (no numpy scalars leak out).
 
     Candidates are always visited in ascending id order, so the
-    enumeration — and hence byte identity with :func:`_join_buffers`
-    and :func:`_join_objects` — is preserved; only the rejection
-    mechanics differ.
+    enumeration — and hence byte identity with :func:`_join_buffers` —
+    is preserved; only the rejection mechanics differ.
     """
     base, e_src, e_dst, e_time = arrays
     src_col = as_ndarray(e_src)
@@ -427,9 +415,10 @@ def _join_buffers(
 ) -> Iterator[Match]:
     """Scalar temporal index join over the flat columns (stdlib fallback).
 
-    The twin of :func:`_join_objects` with per-edge object fetches
-    replaced by three buffer index reads; the control flow is mirrored
-    line by line so the enumeration order is identical.
+    Each level bisects its candidate list to the frontier and walks it in
+    ascending id order, reading three buffer slots per candidate — the
+    same order :func:`repro.core.brute.enumerate_matches` visits edges in,
+    so the two enumerate identical match sequences.
     """
     base, e_src, e_dst, e_time = arrays
     p_edges = pattern.edges
@@ -486,81 +475,6 @@ def _join_buffers(
                 used.add(dv)
             chosen.append(idx)
             first_time = t if edge_pos == 0 else start_time
-            yield from join(edge_pos + 1, idx, first_time)
-            chosen.pop()
-            if bind_u:
-                del assignment[pu]
-                used.discard(du)
-            if bind_v:
-                del assignment[pv]
-                used.discard(dv)
-            if limit is not None and emitted >= limit:
-                return
-
-    yield from join(0, start_index - 1, 0)
-
-
-def _join_objects(
-    pattern: TemporalPattern,
-    edges: Sequence[TemporalEdge],
-    candidate_lists: list[Sequence[int]],
-    max_span: int | None,
-    limit: int | None,
-    start_index: int,
-    min_last_index: int,
-) -> Iterator[Match]:
-    """Legacy temporal index join over per-edge objects.
-
-    Kept callable (``find_matches(..., use_kernel=False)``) for sources
-    without flat columns and for the kernel equivalence tests/ablation.
-    """
-    p_edges = pattern.edges
-    m = pattern.num_edges
-    last_pos = m - 1
-    last_floor = min_last_index - 1
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-    chosen: list[int] = []
-    emitted = 0
-
-    def join(edge_pos: int, frontier: int, start_time: int) -> Iterator[Match]:
-        nonlocal emitted
-        if edge_pos == m:
-            nodes = tuple(assignment[i] for i in range(pattern.num_nodes))
-            yield Match(nodes, tuple(chosen))
-            emitted += 1
-            return
-        pu, pv = p_edges[edge_pos]
-        cands = candidate_lists[edge_pos]
-        if edge_pos == last_pos and frontier < last_floor:
-            frontier = last_floor
-        lo = bisect_right(cands, frontier)
-        for pos in range(lo, len(cands)):
-            idx = cands[pos]
-            edge = edges[idx]
-            if max_span is not None and edge_pos > 0:
-                if edge.time - start_time > max_span:
-                    break
-            du, dv = edge.src, edge.dst
-            bind_u = pu not in assignment
-            bind_v = pv not in assignment
-            if not bind_u and assignment[pu] != du:
-                continue
-            if not bind_v and assignment[pv] != dv:
-                continue
-            if bind_u and du in used:
-                continue
-            if bind_v and (dv in used or (bind_u and du == dv)):
-                continue
-            if bind_u:
-                assignment[pu] = du
-                used.add(du)
-            if bind_v:
-                assignment[pv] = dv
-                used.add(dv)
-            chosen.append(idx)
-            first_time = edge.time if edge_pos == 0 else start_time
             yield from join(edge_pos + 1, idx, first_time)
             chosen.pop()
             if bind_u:

@@ -6,10 +6,9 @@ parent by one data edge whose timestamp is strictly larger than every
 already-matched edge — i.e. an edge of the parent match's *residual
 graph*.  The miner therefore never re-matches patterns from scratch: each
 pattern carries its embedding table and children inherit extended
-embeddings from one pass over the parent's residual edges — on the
-default kernel path a CSR-adjacency walk touching only the edges
-incident to each embedding (:mod:`repro.core.kernel`), on the retained
-legacy path a linear scan of every residual edge.
+embeddings from one pass over the parent's residual edges: a
+CSR-adjacency walk over the interned kernel (:mod:`repro.core.kernel`)
+that touches only the edges incident to each embedding.
 
 Three growth options (Figure 5) keep T-connectivity and cover the whole
 pattern space (Theorem 1):
@@ -61,42 +60,26 @@ ExtensionKey = tuple[str, object, object]
 
 def seed_patterns(
     graphs: Sequence[TemporalGraph],
-    use_index: bool = False,
 ) -> dict[tuple[str, str], EmbeddingTable]:
     """Enumerate one-edge patterns and their embeddings over ``graphs``.
 
     Returns a mapping from ``(src_label, dst_label)`` to the embedding
-    table of the corresponding one-edge pattern.  Self-loop data edges are
+    table of the corresponding one-edge pattern, read off each frozen
+    graph's one-edge label-pair index
+    (:meth:`TemporalGraph.label_pair_index`).  Self-loop data edges are
     skipped: the pattern model has no self-loops (injective node mapping
     over two distinct pattern nodes can never cover one).
-
-    With ``use_index`` the enumeration walks each frozen graph's one-edge
-    label-pair index (:meth:`TemporalGraph.label_pair_index`) instead of
-    scanning its edge list, grouping candidate edges per seed pattern
-    directly; unfrozen graphs fall back to the scan.  Both paths produce
-    identical tables.
     """
     seeds: dict[tuple[str, str], EmbeddingTable] = {}
     for gid, graph in enumerate(graphs):
         edges = graph.edges
-        if use_index and graph.frozen:
-            for key, idxs in graph.label_pair_index().items():
-                for idx in idxs:
-                    edge = edges[idx]
-                    if edge.src == edge.dst:
-                        continue
-                    table = seeds.setdefault(key, {})
-                    table.setdefault(gid, set()).add(
-                        Embedding((edge.src, edge.dst), idx)
-                    )
-            continue
-        labels = graph.labels
-        for idx, edge in enumerate(edges):
-            if edge.src == edge.dst:
-                continue
-            key = (labels[edge.src], labels[edge.dst])
-            table = seeds.setdefault(key, {})
-            table.setdefault(gid, set()).add(Embedding((edge.src, edge.dst), idx))
+        for key, idxs in graph.label_pair_index().items():
+            for idx in idxs:
+                edge = edges[idx]
+                if edge.src == edge.dst:
+                    continue
+                table = seeds.setdefault(key, {})
+                table.setdefault(gid, set()).add(Embedding((edge.src, edge.dst), idx))
     return seeds
 
 
@@ -104,8 +87,6 @@ def extend_embeddings(
     graphs: Sequence[TemporalGraph],
     embeddings: EmbeddingTable,
     kernels: Sequence[GraphKernel] | None = None,
-    *,
-    use_kernel: bool = True,
 ) -> dict[ExtensionKey, EmbeddingTable]:
     """Produce all children's embeddings from the parents' residual edges.
 
@@ -113,26 +94,17 @@ def extend_embeddings(
     at least one mapped node yields a child embedding under the forward /
     backward / inward extension key describing it at pattern level.
 
-    Two implementations produce identical tables:
-
-    * the **kernel path** (default for frozen graphs) walks the CSR
-      adjacency of the embedding's mapped nodes, bisecting each incident
-      edge run to the cut point — work proportional to the *incident*
-      residual edges, not the whole residual graph.  ``kernels`` supplies
-      prebuilt per-graph kernels (the miner passes its dataset kernels);
-      otherwise each frozen graph's cached kernel is used.
-    * the **legacy scan** (``use_kernel=False``, and any unfrozen graph)
-      visits every residual edge per embedding — kept callable for the
-      cross-implementation equivalence tests and the kernel ablation.
+    The walk reads the CSR adjacency of the embedding's mapped nodes,
+    bisecting each incident edge run to the cut point — work proportional
+    to the *incident* residual edges, not the whole residual graph.
+    ``kernels`` supplies prebuilt per-graph kernels (the miner passes its
+    dataset kernels); otherwise each graph's cached kernel is used, so
+    the graphs must be frozen.
     """
     out: dict[ExtensionKey, EmbeddingTable] = {}
     for gid, emb_set in embeddings.items():
-        graph = graphs[gid]
-        if use_kernel and graph.frozen:
-            kernel = kernels[gid] if kernels is not None else graph.kernel()
-            _extend_in_kernel(kernel, gid, emb_set, out)
-        else:
-            _extend_in_scan(graph, gid, emb_set, out)
+        kernel = kernels[gid] if kernels is not None else graphs[gid].kernel()
+        _extend_in_kernel(kernel, gid, emb_set, out)
     return out
 
 
@@ -147,7 +119,7 @@ def _extend_in_kernel(
     Each edge incident to the embedding is reached exactly once: via the
     out-run of its (mapped) source for forward/inward growth, via the
     in-run of its (mapped) destination — with mapped sources skipped —
-    for backward growth.  Self-loops are skipped as in the scan path.
+    for backward growth.  Self-loops are skipped (patterns have none).
     The far endpoint of each CSR slot is read from the kernel's
     ``out_dsts``/``in_srcs`` twin lists, not from the edge columns —
     list reads beat buffer scalar access in this loop (the columns'
@@ -208,39 +180,6 @@ def _extend_in_kernel(
         out.setdefault(key, {})[gid] = rows
 
 
-def _extend_in_scan(
-    graph: TemporalGraph,
-    gid: int,
-    emb_set: set[Embedding],
-    out: dict[ExtensionKey, EmbeddingTable],
-) -> None:
-    """Legacy object path: one scan over all residual edges per embedding."""
-    edges = graph.edges
-    labels = graph.labels
-    n_edges = len(edges)
-    for emb in emb_set:
-        node_to_pattern = {dn: pi for pi, dn in enumerate(emb.nodes)}
-        for idx in range(emb.last_index + 1, n_edges):
-            edge = edges[idx]
-            src_p = node_to_pattern.get(edge.src)
-            dst_p = node_to_pattern.get(edge.dst)
-            if src_p is None and dst_p is None:
-                continue
-            if edge.src == edge.dst:
-                continue
-            if dst_p is None:
-                key: ExtensionKey = ("f", src_p, labels[edge.dst])
-                new_nodes = emb.nodes + (edge.dst,)
-            elif src_p is None:
-                key = ("b", labels[edge.src], dst_p)
-                new_nodes = emb.nodes + (edge.src,)
-            else:
-                key = ("i", src_p, dst_p)
-                new_nodes = emb.nodes
-            table = out.setdefault(key, {})
-            table.setdefault(gid, set()).add(Embedding(new_nodes, idx))
-
-
 def child_pattern(pattern: TemporalPattern, key: ExtensionKey) -> TemporalPattern:
     """Instantiate the child pattern denoted by an extension key."""
     kind, a, b = key
@@ -256,9 +195,8 @@ def child_pattern(pattern: TemporalPattern, key: ExtensionKey) -> TemporalPatter
 def cut_points(embeddings: EmbeddingTable) -> Iterable[tuple[int, int]]:
     """Yield ``(graph id, last edge index)`` per embedding (with repeats).
 
-    Rows are consumed positionally (``emb[1]``), which is both the fast
-    path for the tuple-of-int rows and agnostic to whether a row was
-    built by the kernel or the legacy extension.
+    Rows are consumed positionally (``emb[1]``), the fast path for the
+    tuple-of-int rows :func:`extend_embeddings` builds.
     """
     for gid, emb_set in embeddings.items():
         for emb in emb_set:

@@ -3,11 +3,11 @@
 Every hot loop in this repo — embedding extension in the miner, the
 temporal index join in the query engine, delta evaluation in the
 streaming service — ultimately walks the same thing: a time-sorted edge
-list with node labels.  The object layer (:class:`~repro.core.graph.TemporalGraph`
-with per-edge :class:`~repro.core.graph.TemporalEdge` instances and
-string-keyed dict indexes) is the right *construction* interface, but a
-poor *scan* representation: each edge visit pays an object fetch plus
-attribute accesses, and each label comparison hashes a string.
+list with node labels.  The object layer
+(:class:`~repro.core.graph.TemporalGraph` with per-edge
+:class:`~repro.core.graph.TemporalEdge` instances and string-keyed dict
+indexes) is the *construction* interface; those loops read the flat
+arrays below instead.
 
 :class:`GraphKernel` flattens a frozen graph once into compact parallel
 arrays:
@@ -33,7 +33,8 @@ arrays:
   joins over; the bucket lists are shared with the owning graph's
   string-keyed index, not copied);
 * ``suffix_label_ids`` — the residual node-label sets as frozensets of
-  interned ids.
+  interned ids (the only copy: the miner's subgraph pruning reads them
+  through :func:`~repro.core.residual.summarize_residuals`).
 
 **Interning contract.**  Label ids are *per interner*, and an interner
 is per dataset (one mining run, one query engine, one stream) — never
@@ -42,12 +43,14 @@ deterministic for a fixed graph list but meaningless across datasets;
 persist labels, never ids.  Containment/equality results are identical
 to the string path because interning is a bijection within one interner.
 
-**Byte-identity contract.**  The kernel is a *view*: every consumer that
-switches from the object path to the kernel path (growth, matching,
-signatures, residual summaries) produces bit-identical results — same
-mined pattern sets, same match enumeration order, same spans and scores.
-``tests/test_kernel.py`` pins this with cross-implementation property
-tests against the retained legacy paths.
+**Correctness contract.**  Growth, residual summaries and the match
+join run only over the kernel and its edge columns (the join in a
+vectorized and a scalar form, one per :mod:`repro.core.buffers`
+backend), pinned against the brute-force oracle (:mod:`repro.core.brute`):
+``tests/test_kernel.py`` checks the child embedding tables
+:func:`~repro.core.growth.extend_embeddings` builds, the residual label
+sets and the :func:`~repro.core.graph_index.find_matches` enumeration
+against exhaustive enumeration on random graphs.
 """
 
 from __future__ import annotations
@@ -214,8 +217,7 @@ class GraphKernel:
             for (src_label, dst_label), idxs in graph.label_pair_index().items()
         }
         # suffix_label_ids[i] = interned labels of nodes touched by edges
-        # i..end — mirrors TemporalGraph._build_indexes exactly, so the
-        # id sets are the string sets under the interner bijection.
+        # i..end; suffix_label_ids[m] is empty.
         m = len(edge_src)
         suffix: list[frozenset[int]] = [frozenset()] * (m + 1)
         acc: set[int] = set()

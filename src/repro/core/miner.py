@@ -21,18 +21,24 @@ Setting the corresponding :class:`MinerConfig` fields reproduces the five
 efficiency baselines of Section 6.3 (``SubPrune``, ``SupPrune``,
 ``PruneGI``, ``PruneVF2``, ``LinearScan``) — see :func:`miner_variant`.
 
+Every run has one data path: it builds one
+:class:`~repro.core.kernel.GraphKernel` per graph over a shared
+interner, enumerates seeds from each graph's one-edge label-pair index,
+grows embeddings over the kernels' CSR runs and reads residual label
+sets from the kernels' interned suffix sets.
+
 The growth loop's hot path is the subgraph-isomorphism tests issued by
 the two prunings.  With :attr:`MinerConfig.index_prefilter` (default on)
 the run owns a :class:`~repro.core.graph_index.CandidateFilter` shared
 with its tester: candidate pairs whose node-label or edge-label-pair
 multisets cannot nest are answered by signature containment before any
-mapping search (``MiningStats.index_prefilter_skips``), seed enumeration
-walks each graph's one-edge label-pair index, and the VF2 tester seeds
-candidates from the filter's label index.  The prefilter only rejects
-tests that would provably fail, so mined pattern sets are identical with
-it on or off — ``index_prefilter=False`` (CLI ``--no-index``) disables
-it, and :func:`miner_variant` always disables it for the five paper
-baselines so their reproduced cost profiles stay faithful.
+mapping search (``MiningStats.index_prefilter_skips``), and the VF2
+tester seeds candidates from the filter's label index.  The prefilter
+only rejects tests that would provably fail, so mined pattern sets are
+identical with it on or off — ``index_prefilter=False`` (CLI
+``--no-index``) disables it, and :func:`miner_variant` always disables
+it for the five paper baselines so their reproduced cost profiles stay
+faithful.
 """
 
 from __future__ import annotations
@@ -358,10 +364,7 @@ class _MiningRun:
 
     def execute(self) -> MiningResult:
         started = time.perf_counter()
-        seeds = seed_patterns(
-            list(self.positives) + list(self.negatives),
-            use_index=self.filter is not None,
-        )
+        seeds = seed_patterns(list(self.positives) + list(self.negatives))
         min_count = self.config.min_pos_support * self.n_pos
         for src_label, dst_label in sorted(seeds):
             table = seeds[(src_label, dst_label)]
@@ -390,18 +393,16 @@ class _MiningRun:
         self._record(pattern, score, pos_freq, neg_freq)
 
         pos_res = summarize_residuals(
-            self.positives,
+            self.pos_kernels,
             cut_points(pos_embs),
             keep_cut_pairs=self.keep_cut_pairs,
             with_labels=True,
-            kernels=self.pos_kernels,
         )
         neg_res = summarize_residuals(
-            self.negatives,
+            self.neg_kernels,
             cut_points(neg_embs),
             keep_cut_pairs=self.keep_cut_pairs,
             with_labels=False,
-            kernels=self.neg_kernels,
         )
 
         branch_ub = score

@@ -203,10 +203,7 @@ class _WorkerState:
         self.seeds: "dict[SeedKey, EmbeddingTable] | SharedSeedTable" = (
             seeds
             if seeds is not None
-            else seed_patterns(
-                list(positives) + list(negatives),
-                use_index=config.index_prefilter,
-            )
+            else seed_patterns(list(positives) + list(negatives))
         )
 
     def mine_seed(self, seed: SeedKey) -> "SeedResult":
@@ -434,9 +431,7 @@ class ParallelMiner:
             if not graph.frozen:
                 graph.freeze()
         started = time.perf_counter()
-        seeds = seed_patterns(
-            positives + negatives, use_index=self.config.index_prefilter
-        )
+        seeds = seed_patterns(positives + negatives)
         tasks = self._filter_tasks(seeds, len(positives))
         # only seeds passing the support floor are ever mined; don't
         # ship (or retain) the embedding tables of the filtered-out rest
@@ -494,10 +489,7 @@ class ParallelMiner:
         This is exactly the set of seeds the serial miner would explore
         (its loop skips under-supported seeds before descending).
         """
-        seeds = seed_patterns(
-            list(positives) + list(negatives),
-            use_index=self.config.index_prefilter,
-        )
+        seeds = seed_patterns(list(positives) + list(negatives))
         return self._filter_tasks(seeds, len(positives))
 
     def _filter_tasks(

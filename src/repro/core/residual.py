@@ -14,6 +14,11 @@ integers ``I(G, g) = Σ_{R ∈ R(G,g)} |R|`` are equal, so TGMiner compares
 residual sets in O(1) after a single linear scan.  The ``LinearScan``
 baseline instead stores the cut-pair sets explicitly and compares them
 element by element.
+
+Summaries are computed over the dataset's kernels
+(:mod:`repro.core.kernel`): residual sizes come from their edge counts
+and the residual node-label sets ``L(G, g)`` from their precomputed
+suffix sets of interned label ids.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.graph import TemporalGraph
 from repro.core.kernel import GraphKernel
 
 __all__ = ["ResidualSummary", "summarize_residuals", "linear_scan_equal"]
@@ -41,32 +45,32 @@ class ResidualSummary:
         identifying each residual graph.  Only materialized when the
         linear-scan baseline needs it (``None`` otherwise).
     label_set:
-        The residual node label set ``L(G, g)`` — union of labels of
-        nodes incident to residual edges (used by subgraph pruning's
-        condition (3)).  Label *strings* on the legacy path; dense
-        interned label *ids* when the summary was built over kernels
-        (the miner's default) — only membership/intersection against
-        sets from the same interner is meaningful either way.
+        The residual node label set ``L(G, g)`` — union of the interned
+        label ids of nodes incident to residual edges (used by subgraph
+        pruning's condition (3)).  Ids come from the kernels' interner,
+        so only membership/intersection against ids of the same interner
+        is meaningful.
     """
 
     i_value: int
     cut_pairs: tuple[tuple[int, int], ...] | None
-    label_set: frozenset[str] | frozenset[int]
+    label_set: frozenset[int]
 
 
 def summarize_residuals(
-    graphs: Sequence[TemporalGraph],
+    kernels: Sequence[GraphKernel],
     cut_points: Iterable[tuple[int, int]],
     keep_cut_pairs: bool = False,
     with_labels: bool = True,
-    kernels: Sequence[GraphKernel] | None = None,
 ) -> ResidualSummary:
     """Aggregate residual information from match cut points.
 
     Parameters
     ----------
-    graphs:
-        The data graph set ``G`` (indexable by graph id).
+    kernels:
+        Kernels of the data graph set ``G`` (indexable by graph id), all
+        sharing one dataset interner; the label set is read from their
+        precomputed suffix sets.
     cut_points:
         ``(graph id, last matched edge index)`` per match; duplicates are
         collapsed because residual graphs form a *set*.
@@ -75,31 +79,19 @@ def summarize_residuals(
     with_labels:
         Compute the residual node label set (skippable for negative sets,
         where subgraph pruning never consults labels).
-    kernels:
-        Per-graph kernels sharing one dataset interner (the miner's
-        path).  When given, ``label_set`` holds interned label ids from
-        the kernels' precomputed suffix sets; ``i_value`` and
-        ``cut_pairs`` are identical either way.
     """
     distinct = sorted(set(cut_points))
     i_value = 0
-    labels: set = set()
-    if kernels is not None:
-        for gid, cut in distinct:
-            kernel = kernels[gid]
-            i_value += kernel.num_edges - (cut + 1)
-            if with_labels:
-                labels |= kernel.suffix_label_ids[cut + 1]
-    else:
-        for gid, cut in distinct:
-            graph = graphs[gid]
-            i_value += graph.num_edges - (cut + 1)
-            if with_labels:
-                labels |= graph.suffix_label_set(cut + 1)
+    labels: set[int] = set()
+    for gid, cut in distinct:
+        kernel = kernels[gid]
+        i_value += kernel.num_edges - (cut + 1)
+        if with_labels:
+            labels |= kernel.suffix_label_ids[cut + 1]
     return ResidualSummary(
         i_value=i_value,
         cut_pairs=tuple(distinct) if keep_cut_pairs else None,
-        label_set=frozenset(labels) if with_labels else frozenset(),
+        label_set=frozenset(labels),
     )
 
 

@@ -60,7 +60,6 @@ from typing import Iterator, Sequence
 
 from repro.core.errors import CheckpointError, ServingError
 from repro.core.faults import FaultPlan
-from repro.datasets.io import event_from_dict
 from repro.serving.registry import BehaviorQuery, query_from_dict, query_to_dict
 from repro.serving.service import Detection, DetectionService
 from repro.serving.streaming import StreamStats
@@ -125,11 +124,17 @@ def _events_from_columns(columns: dict) -> list[SyscallEvent]:
     ]
 
 
-def _record_events(record: dict) -> list[SyscallEvent]:
-    """Decode one WAL record's event batch (packed or legacy row form)."""
-    if "columns" in record:
-        return _events_from_columns(record["columns"])
-    return [event_from_dict(entry) for entry in record.get("events", [])]
+def _decode_events(container: object, key: str, path: Path) -> list[SyscallEvent]:
+    """The event batch packed under ``container[key]`` in the file ``path``.
+
+    The framing CRC already verified the bytes, so a missing or malformed
+    batch is a writer bug, not a tear: raise instead of guessing.
+    """
+    columns = container.get(key) if isinstance(container, dict) else None
+    try:
+        return _events_from_columns(columns)
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path} holds no valid {key!r} event batch") from exc
 
 
 def _frame(payload: bytes) -> bytes:
@@ -464,6 +469,7 @@ def _service_to_payload(service: DetectionService, generation: int) -> dict:
 
 def _service_from_payload(
     payload: dict,
+    path: Path,
     *,
     faults: FaultPlan | None = None,
     fault_scope: dict | None = None,
@@ -477,10 +483,7 @@ def _service_from_payload(
     service.register_all(
         [query_from_dict(entry) for entry in payload["queries"]]
     )
-    if "window_columns" in payload:
-        events = _events_from_columns(payload["window_columns"])
-    else:  # legacy row-per-event snapshots
-        events = [event_from_dict(entry) for entry in payload["window_events"]]
+    events = _decode_events(payload, "window_columns", path)
     if events:
         # rebuild the window in one batch: eviction anchors at the batch
         # minimum, so nothing is evicted or late-dropped, and the edges
@@ -521,7 +524,9 @@ def recover_service(
     counted; a replayed batch the service rejects (e.g. a timestamp
     collision the original ingest also rejected) is skipped and counted
     — the pre-crash service refused the same batch, so skipping it
-    preserves equivalence.
+    preserves equivalence.  A checksum-valid snapshot or WAL record that
+    carries no valid event batch raises :class:`CheckpointError` naming
+    its file.
     """
     store = CheckpointStore(
         directory, faults=faults, fault_scope=fault_scope, generation=0
@@ -535,7 +540,10 @@ def recover_service(
             corrupt += 1
             continue
         restored = _service_from_payload(
-            payload, faults=faults, fault_scope=fault_scope
+            payload,
+            store.snapshot_path(gen),
+            faults=faults,
+            fault_scope=fault_scope,
         )
         generation = gen
         break
@@ -567,7 +575,7 @@ def recover_service(
             if gen != wal_gens[-1]:  # pragma: no cover - torn mid-history
                 break
         for record in records:
-            events = _record_events(record)
+            events = _decode_events(record, "columns", store.wal_path(gen))
             try:
                 detections = restored.ingest(events)
             except ServingError:

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from repro.core import buffers
 from repro.core.graph import TemporalGraph
+from repro.core.graph_index import find_matches
 from repro.core.pattern import TemporalPattern
 
 
@@ -67,6 +69,20 @@ def random_embedded_pattern(rng: random.Random, graph: TemporalGraph, max_edges=
                 remap[node] = sub.add_node(graph.label(node))
         sub.add_edge(remap[edge.src], remap[edge.dst], pos)
     return TemporalPattern.from_graph(sub.freeze())
+
+
+def scalar_matches(pattern, graph, **kwargs):
+    """The match sequence of the scalar column join (the ``array`` backend).
+
+    The sequence reference for the vectorized join: the active backend
+    override is restored afterwards.
+    """
+    previous = buffers._FORCED
+    buffers.force_backend("array")
+    try:
+        return list(find_matches(pattern, graph, **kwargs))
+    finally:
+        buffers.force_backend(previous)
 
 
 def make_behavior_model(behavior="chain-abc", labels=("A", "B", "C"), span_cap=10):

@@ -83,6 +83,31 @@ def corpus(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def packed_queries(corpus, tmp_path_factory):
+    """``queries.jsonl`` of a mined bundle unpacked by ``repro pack``."""
+    root = tmp_path_factory.mktemp("packed")
+    bundle = root / "model.tgm"
+    assert (
+        main(
+            [
+                "mine",
+                "--train",
+                str(corpus),
+                "--behavior",
+                "gzip-decompress",
+                "--max-edges",
+                "3",
+                "--save-model",
+                str(bundle),
+            ]
+        )
+        == 0
+    )
+    assert main(["pack", str(bundle), str(root / "bundle")]) == 0
+    return root / "bundle" / "queries.jsonl"
+
+
 class TestWorkers:
     def test_mine_parallel_matches_serial_output(self, corpus, capsys):
         args = [
@@ -130,31 +155,13 @@ class TestProfile:
         assert "cProfile: top 20 by cumulative time" in out
         assert "cumtime" in out
 
-    def test_detect_profile_prints_hotspots(self, corpus, tmp_path, capsys):
-        queries = tmp_path / "profile-queries.jsonl"
-        assert (
-            main(
-                [
-                    "mine",
-                    "--train",
-                    str(corpus),
-                    "--behavior",
-                    "gzip-decompress",
-                    "--max-edges",
-                    "3",
-                    "--save-queries",
-                    str(queries),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
+    def test_detect_profile_prints_hotspots(self, packed_queries, capsys):
         assert (
             main(
                 [
                     "detect",
                     "--queries",
-                    str(queries),
+                    str(packed_queries),
                     "--instances",
                     "2",
                     "--profile",
@@ -168,25 +175,8 @@ class TestProfile:
 
 
 class TestDetect:
-    def test_mine_save_queries_then_detect(self, corpus, tmp_path, capsys):
-        queries = tmp_path / "queries.jsonl"
-        assert (
-            main(
-                [
-                    "mine",
-                    "--train",
-                    str(corpus),
-                    "--behavior",
-                    "gzip-decompress",
-                    "--max-edges",
-                    "3",
-                    "--save-queries",
-                    str(queries),
-                ]
-            )
-            == 0
-        )
-        assert "behavior queries" in capsys.readouterr().out
+    def test_pack_queries_then_detect(self, packed_queries, tmp_path, capsys):
+        queries = packed_queries
         assert queries.exists()
         out_json = tmp_path / "detect.json"
         log = tmp_path / "log.jsonl"
@@ -365,26 +355,9 @@ class TestModelBundles:
         assert rezipped.read_bytes() == bundle.read_bytes()
 
     def test_detect_model_matches_detect_queries(
-        self, corpus, bundle, tmp_path, capsys
+        self, bundle, packed_queries, capsys
     ):
-        queries = tmp_path / "queries.jsonl"
-        assert (
-            main(
-                [
-                    "mine",
-                    "--train",
-                    str(corpus),
-                    "--behavior",
-                    "gzip-decompress",
-                    "--max-edges",
-                    "3",
-                    "--save-queries",
-                    str(queries),
-                ]
-            )
-            == 0
-        )
-        assert "deprecated" in capsys.readouterr().out
+        queries = packed_queries
         args = ["--instances", "3", "--batch-size", "64"]
         assert main(["detect", "--model", str(bundle)] + args) == 0
         model_out = capsys.readouterr().out

@@ -206,13 +206,6 @@ class TestServingHandle:
         assert handle.ingest(chain_events(0, 0))
         handle.close()
 
-    def test_serve_fleet_warns_and_delegates(self, model):
-        with pytest.warns(DeprecationWarning, match="serve_fleet.*deprecated"):
-            handle = repro.Workspace().serve_fleet(model, shards=2)
-        assert isinstance(handle, ServingHandle)
-        assert isinstance(handle.ingestor, DetectionFleet)
-        handle.close()
-
 
 class TestPublicExports:
     def test_repro_all_exports_serving_surface(self):

@@ -122,13 +122,6 @@ class TestResidualHelpers:
         assert figure3_graph.residual_size(4) == 2
         assert figure3_graph.residual_size(6) == 0
 
-    def test_suffix_label_set_shrinks(self, figure3_graph):
-        full = figure3_graph.suffix_label_set(0)
-        tail = figure3_graph.suffix_label_set(4)
-        assert full == {"A", "B", "C", "E"}
-        assert tail == {"A", "C", "E"}
-        assert figure3_graph.suffix_label_set(6) == frozenset()
-
 
 class TestWindow:
     def test_window_extracts_compacted_subgraph(self, figure3_graph):

@@ -14,7 +14,6 @@ from repro.core.graph_index import (
     pattern_signature,
     signature_contains,
 )
-from repro.core.growth import seed_patterns
 from repro.core.miner import MinerConfig, TGMiner
 from repro.core.pattern import TemporalPattern
 from repro.core.subgraph import SequenceSubgraphTester
@@ -148,13 +147,6 @@ class TestFilteredTesters:
             big = random_pattern(rng, n_nodes=6, n_edges=9)
             small = random_embedded_pattern(rng, big.as_temporal_graph(), max_edges=3)
             assert plain.mapping(small, big) == filtered.mapping(small, big)
-
-
-class TestIndexedSeeds:
-    def test_seed_patterns_identical_with_index(self):
-        rng = random.Random(17)
-        graphs = [random_temporal_graph(rng, n_nodes=5, n_edges=8) for _ in range(6)]
-        assert seed_patterns(graphs) == seed_patterns(graphs, use_index=True)
 
 
 def mining_corpus(seed=0, n_pos=6, n_neg=6):

@@ -1,10 +1,11 @@
 """Edge-case unit tests for the flat-column temporal join dispatcher.
 
 ``_join_arrays`` fronts two implementations (vectorized masks, scalar
-buffer walk) that must behave identically to the legacy object join in
-the corners: empty candidate lists, scan windows straddling a streaming
-eviction boundary, and match limits cutting a mask batch mid-iteration.
-The span join shares the dead-prefix defense.
+buffer walk) that must behave identically in the corners: empty
+candidate lists, scan windows straddling a streaming eviction boundary,
+and match limits cutting a mask batch mid-iteration.  The scalar join
+(``array`` backend) is the sequence reference.  The span join shares
+the dead-prefix defense.
 """
 
 import pytest
@@ -16,6 +17,8 @@ from repro.core.graph_index import find_matches, find_spans
 from repro.core.pattern import TemporalPattern
 from repro.serving.streaming import StreamingGraph
 from repro.syscall.events import SyscallEvent
+
+from conftest import scalar_matches
 
 BACKENDS = [
     pytest.param(
@@ -74,10 +77,8 @@ class TestZeroCandidates:
         assert list(find_matches(pattern, graph, start_index=6)) == []
         # one below: exactly the last candidate survives the frontier
         tail = list(find_matches(pattern, graph, start_index=5))
-        legacy = list(
-            find_matches(pattern, graph, start_index=5, use_kernel=False)
-        )
-        assert tail == legacy and len(tail) == 1
+        reference = scalar_matches(pattern, graph, start_index=5)
+        assert tail == reference and len(tail) == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_one_empty_pair_among_populated_ones(self, backend):
@@ -109,9 +110,7 @@ class TestEvictionBoundary:
         for max_span in (None, 2, 100):
             want = [
                 tuple(batch.edges[i].time for i in m.edge_indexes)
-                for m in find_matches(
-                    pattern, batch, max_span=max_span, use_kernel=False
-                )
+                for m in scalar_matches(pattern, batch, max_span=max_span)
             ]
             got = [
                 tuple(stream.edges[i].time for i in m.edge_indexes)
@@ -183,13 +182,11 @@ class TestLimitMidBatch:
         # second edge re-binds both endpoints: its scan window is handled
         # as one mask batch, which the limit must interrupt mid-iteration
         pattern = TemporalPattern(["A", "B"], [(0, 1), (0, 1)])
-        unlimited = list(find_matches(pattern, graph, use_kernel=False))
+        unlimited = scalar_matches(pattern, graph)
         assert len(unlimited) > limit
-        legacy = list(
-            find_matches(pattern, graph, limit=limit, use_kernel=False)
-        )
+        reference = scalar_matches(pattern, graph, limit=limit)
         kernel = list(find_matches(pattern, graph, limit=limit))
-        assert kernel == legacy == unlimited[:limit]
+        assert kernel == reference == unlimited[:limit]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_default_match_limit_truncates_identically(
@@ -200,9 +197,7 @@ class TestLimitMidBatch:
         pattern = TemporalPattern(["A", "B"], [(0, 1), (0, 1), (0, 1)])
         # a cap small enough to hit mid-run
         cap = 5
-        legacy = list(
-            find_matches(pattern, graph, limit=cap, use_kernel=False)
-        )
+        reference = scalar_matches(pattern, graph, limit=cap)
         kernel = list(find_matches(pattern, graph, limit=cap))
-        assert len(legacy) == cap
-        assert kernel == legacy
+        assert len(reference) == cap
+        assert kernel == reference

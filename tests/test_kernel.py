@@ -1,18 +1,20 @@
-"""Cross-implementation property tests for the interned-label CSR kernel.
+"""Oracle tests for the interned-label CSR kernel data path.
 
-The kernel layer (:mod:`repro.core.kernel`) is a pure *view*: every hot
-path that switched from the object representation to the flat arrays —
-embedding extension, the temporal index join, residual summaries,
-signature pretests — must produce results **exactly equal** to the
-retained legacy paths.  These tests pin that contract on random temporal
-graphs so any divergence introduced later fails loudly.
+The kernel layer (:mod:`repro.core.kernel`) is the only implementation
+of seeding, embedding extension, residual summaries and the temporal
+index join.  These tests pin each against exhaustive enumeration
+(:mod:`repro.core.brute`) or a direct computation over the edge list,
+on random temporal graphs, so any divergence fails loudly.
 """
 
+import itertools
 import pickle
 import random
 
 import pytest
 
+import repro.core.graph_index as graph_index
+from repro.core.brute import enumerate_matches
 from repro.core.errors import GraphError
 from repro.core.graph import TemporalGraph
 from repro.core.graph_index import (
@@ -22,8 +24,15 @@ from repro.core.graph_index import (
     pattern_signature,
     signature_contains,
 )
-from repro.core.growth import cut_points, extend_embeddings, seed_patterns
-from repro.core.kernel import GraphKernel, LabelInterner, build_kernels
+from repro.core.growth import (
+    Embedding,
+    child_pattern,
+    cut_points,
+    extend_embeddings,
+    seed_patterns,
+)
+from repro.core.kernel import LabelInterner, build_kernels
+from repro.core.pattern import TemporalPattern
 from repro.core.residual import summarize_residuals
 from repro.core.sequence import encode
 from repro.serving.streaming import StreamingGraph
@@ -109,7 +118,11 @@ class TestGraphKernel:
                 kernel.interner.label_of(lid)
                 for lid in kernel.suffix_label_ids[i]
             }
-            assert as_strings == set(graph.suffix_label_set(i))
+            assert as_strings == {
+                graph.label(node)
+                for edge in graph.edges[i:]
+                for node in edge.endpoints()
+            }
 
     def test_kernel_cached_and_rebound_on_new_interner(self):
         rng = random.Random(17)
@@ -145,23 +158,90 @@ class TestGraphKernel:
 
 
 # ----------------------------------------------------------------------
-# growth: kernel path == legacy scan path
+# growth and matching: the kernel path == the brute-force oracle
 # ----------------------------------------------------------------------
+def oracle_table(pattern, corpus):
+    """Footprints of every match of ``pattern``, per graph, by brute force."""
+    table = {}
+    for gid, graph in enumerate(corpus):
+        rows = {
+            Embedding(m.nodes, m.edge_indexes[-1])
+            for m in enumerate_matches(pattern, graph)
+        }
+        if rows:
+            table[gid] = rows
+    return table
+
+
+def extension_keys(pattern, alphabet):
+    """Every forward / backward / inward key a pattern could grow by."""
+    n = pattern.num_nodes
+    keys = [("f", u, label) for u in range(n) for label in alphabet]
+    keys += [("b", label, v) for label in alphabet for v in range(n)]
+    keys += [("i", u, v) for u in range(n) for v in range(n) if u != v]
+    return keys
+
+
+def hub_graph():
+    """A hub-heavy graph: repeated label pairs, parallel edges, self-loops."""
+    graph = TemporalGraph()
+    hub = graph.add_node("H")
+    others = [graph.add_node(label) for label in "AABBC"]
+    rng = random.Random(5)
+    for t in range(30):
+        other = rng.choice(others)
+        if t % 7 == 6:
+            # self-loops: no pattern edge may match one
+            node = hub if t % 14 == 6 else other
+            graph.add_edge(node, node, t)
+        elif rng.random() < 0.5:
+            graph.add_edge(hub, other, t)
+        else:
+            graph.add_edge(other, hub, t)
+    return graph.freeze()
+
+
+def oracle_matches(pattern, graph, max_span=None, start_index=0, min_last_index=0):
+    """The brute-force match sequence under the join's constraints."""
+    times = [edge.time for edge in graph.edges]
+    return [
+        m
+        for m in enumerate_matches(pattern, graph)
+        if m.edge_indexes[0] >= start_index
+        and m.edge_indexes[-1] >= min_last_index
+        and (
+            max_span is None
+            or times[m.edge_indexes[-1]] - times[m.edge_indexes[0]] <= max_span
+        )
+    ]
+
+
 class TestExtendEmbeddingsEquivalence:
+    """Seeds and every child table equal the oracle's match footprints."""
+
     def grow_levels(self, corpus, kernels, levels=3, seed_cap=12, fan=6):
-        """Walk several growth generations comparing both paths each step."""
-        seeds = seed_patterns(corpus, use_index=True)
-        frontier = [seeds[key] for key in sorted(seeds)[:seed_cap]]
+        """Walk several growth generations checking every key each step."""
+        alphabet = sorted({label for graph in corpus for label in graph.labels})
+        seeds = seed_patterns(corpus)
+        for pair in itertools.product(alphabet, repeat=2):
+            pattern = TemporalPattern.single_edge(*pair)
+            assert seeds.get(pair, {}) == oracle_table(pattern, corpus), pair
+        frontier = [
+            (TemporalPattern.single_edge(*pair), seeds[pair])
+            for pair in sorted(seeds)[:seed_cap]
+        ]
         for _ in range(levels):
             nxt = []
-            for table in frontier:
-                legacy = extend_embeddings(corpus, table, use_kernel=False)
-                fast = extend_embeddings(corpus, table, kernels)
-                assert fast == legacy
-                auto = extend_embeddings(corpus, table)  # cached kernels
-                assert auto == legacy
-                for key in sorted(fast)[:fan]:
-                    nxt.append(fast[key])
+            for pattern, table in frontier:
+                grown = extend_embeddings(corpus, table, kernels)
+                assert extend_embeddings(corpus, table) == grown  # cached kernels
+                keys = extension_keys(pattern, alphabet)
+                assert set(grown) <= set(keys)
+                for key in keys:
+                    child = child_pattern(pattern, key)
+                    assert grown.get(key, {}) == oracle_table(child, corpus), key
+                for key in sorted(grown)[:fan]:
+                    nxt.append((child_pattern(pattern, key), grown[key]))
             if not nxt:
                 break
             frontier = nxt[:fan]
@@ -174,20 +254,7 @@ class TestExtendEmbeddingsEquivalence:
         self.grow_levels(corpus, kernels)
 
     def test_multi_edges_and_hubs(self):
-        # a hub-heavy graph with repeated label pairs and parallel edges
-        graph = TemporalGraph()
-        hub = graph.add_node("H")
-        others = [graph.add_node(label) for label in "AABBC"]
-        t = 0
-        rng = random.Random(5)
-        for _ in range(30):
-            other = rng.choice(others)
-            if rng.random() < 0.5:
-                graph.add_edge(hub, other, t)
-            else:
-                graph.add_edge(other, hub, t)
-            t += 1
-        corpus = [graph.freeze()]
+        corpus = [hub_graph()]
         kernels = build_kernels(corpus, LabelInterner())
         self.grow_levels(corpus, kernels)
 
@@ -196,22 +263,30 @@ class TestExtendEmbeddingsEquivalence:
         corpus = random_corpus(rng, count=2)
         seeds = seed_patterns(corpus)
         key = sorted(seeds)[0]
-        fast = extend_embeddings(corpus, seeds[key])
-        legacy = extend_embeddings(corpus, seeds[key], use_kernel=False)
-        assert fast == legacy
-        for table in fast.values():
+        cached = extend_embeddings(corpus, seeds[key])
+        explicit = extend_embeddings(
+            corpus, seeds[key], build_kernels(corpus, LabelInterner())
+        )
+        assert cached == explicit
+        for table in cached.values():
             for rows in table.values():
                 for row in rows:
                     # kernel rows stay Embedding instances (built through
                     # tuple.__new__) — named access keeps working
+                    assert type(row) is Embedding
                     assert row.nodes == row[0]
                     assert row.last_index == row[1]
 
 
-# ----------------------------------------------------------------------
-# matching: array join == object join
-# ----------------------------------------------------------------------
 class TestFindMatchesEquivalence:
+    """The join enumerates the oracle's match sequence, in order."""
+
+    @pytest.fixture(autouse=True)
+    def vectorize_tiny_inputs(self, monkeypatch):
+        # on the numpy backend, run the mask branches even on tiny inputs
+        monkeypatch.setattr(graph_index, "_VECTOR_MIN_CANDIDATES", 0)
+        monkeypatch.setattr(graph_index, "_VECTOR_MIN_WINDOW", 0)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_random_graphs_exact_sequence(self, seed):
         rng = random.Random(seed)
@@ -219,24 +294,35 @@ class TestFindMatchesEquivalence:
         for _ in range(6):
             pattern = random_embedded_pattern(rng, graph)
             for max_span in (None, 3, 8):
+                expected = oracle_matches(pattern, graph, max_span=max_span)
+                if max_span is None:
+                    # the pattern was extracted from the graph, so the
+                    # uncapped search must find it
+                    assert expected, "workload degenerate: no matches"
                 for limit in (None, 2):
-                    legacy = list(
-                        find_matches(
-                            pattern,
-                            graph,
-                            max_span=max_span,
-                            limit=limit,
-                            use_kernel=False,
-                        )
-                    )
-                    fast = list(
+                    got = list(
                         find_matches(pattern, graph, max_span=max_span, limit=limit)
                     )
-                    assert fast == legacy  # same matches, same order
-                    if max_span is None:
-                        # the pattern was extracted from the graph, so the
-                        # uncapped search must find it
-                        assert legacy, "workload degenerate: no matches"
+                    assert got == expected[:limit]  # same matches, same order
+
+    def test_hub_graph_exact_sequence(self):
+        """Every one- and two-edge pattern over the hub graph's labels,
+        including label pairs only self-loops carry."""
+        graph = hub_graph()
+        alphabet = sorted(set(graph.labels))
+        patterns = [
+            TemporalPattern.single_edge(*pair)
+            for pair in itertools.product(alphabet, repeat=2)
+        ]
+        patterns += [
+            child_pattern(parent, key)
+            for parent in patterns
+            for key in extension_keys(parent, alphabet)
+        ]
+        for pattern in patterns:
+            for max_span in (None, 4):
+                got = list(find_matches(pattern, graph, max_span=max_span))
+                assert got == oracle_matches(pattern, graph, max_span=max_span)
 
     def test_start_and_min_last_index(self):
         rng = random.Random(31)
@@ -244,21 +330,14 @@ class TestFindMatchesEquivalence:
         pattern = random_embedded_pattern(rng, graph, max_edges=2)
         for start in (0, 5, 12):
             for floor in (0, 8, 20):
-                legacy = list(
-                    find_matches(
-                        pattern,
-                        graph,
-                        start_index=start,
-                        min_last_index=floor,
-                        use_kernel=False,
-                    )
-                )
-                fast = list(
+                got = list(
                     find_matches(
                         pattern, graph, start_index=start, min_last_index=floor
                     )
                 )
-                assert fast == legacy
+                assert got == oracle_matches(
+                    pattern, graph, start_index=start, min_last_index=floor
+                )
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +412,7 @@ class TestStreamingKernel:
 # ----------------------------------------------------------------------
 class TestResidualAndSignatureEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_summaries_match_legacy(self, seed):
+    def test_summaries_match_residual_edges(self, seed):
         rng = random.Random(seed)
         corpus = random_corpus(rng)
         interner = LabelInterner()
@@ -341,18 +420,35 @@ class TestResidualAndSignatureEquivalence:
         seeds = seed_patterns(corpus)
         for key in sorted(seeds)[:10]:
             table = seeds[key]
+            cuts = sorted(set(cut_points(table)))
+            residuals = [corpus[gid].edges[cut + 1 :] for gid, cut in cuts]
+            labels = {
+                interner.id_of(corpus[gid].label(node))
+                for (gid, _cut), edges in zip(cuts, residuals)
+                for edge in edges
+                for node in edge.endpoints()
+            }
             for keep in (False, True):
-                legacy = summarize_residuals(
-                    corpus, cut_points(table), keep_cut_pairs=keep
+                summary = summarize_residuals(
+                    kernels, cut_points(table), keep_cut_pairs=keep
                 )
-                fast = summarize_residuals(
-                    corpus, cut_points(table), keep_cut_pairs=keep, kernels=kernels
-                )
-                assert fast.i_value == legacy.i_value
-                assert fast.cut_pairs == legacy.cut_pairs
-                assert {
-                    interner.label_of(lid) for lid in fast.label_set
-                } == set(legacy.label_set)
+                assert summary.i_value == sum(len(edges) for edges in residuals)
+                assert summary.cut_pairs == (tuple(cuts) if keep else None)
+                assert summary.label_set == labels
+            unlabeled = summarize_residuals(
+                kernels, cut_points(table), with_labels=False
+            )
+            assert unlabeled.label_set == frozenset()
+        # one cut at a time: the union above hides a set that is too big
+        # whenever an earlier cut's residual already covers its labels
+        for gid, graph in enumerate(corpus):
+            for cut in range(-1, graph.num_edges):
+                summary = summarize_residuals(kernels, [(gid, cut)])
+                assert summary.label_set == {
+                    interner.id_of(graph.label(node))
+                    for edge in graph.edges[cut + 1 :]
+                    for node in edge.endpoints()
+                }
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_filter_pretests_match_string_signatures(self, seed):

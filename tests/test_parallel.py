@@ -277,7 +277,7 @@ class TestSharedMemoryCorpus:
 
     def test_attach_rebuilds_identical_corpus(self):
         positives, negatives = self._corpus()
-        seeds = seed_patterns(positives + negatives, use_index=True)
+        seeds = seed_patterns(positives + negatives)
         descriptor, handle = publish_corpus(positives, negatives, seeds=seeds)
         try:
             corpus = attach_corpus(descriptor)

@@ -4,9 +4,9 @@
 * every embedded pattern is found by every tester;
 * all six miner variants return identical results (Theorem 2);
 * sequence encodings are consistent with Lemma 5's premises;
-* the three temporal-join implementations (legacy objects, scalar
-  buffers, vectorized masks) enumerate byte-identical match sequences
-  on seeded adversarial logs, batch and streaming alike;
+* the two temporal-join implementations (scalar buffers, vectorized
+  masks) enumerate byte-identical match sequences on seeded adversarial
+  logs, batch and streaming alike;
 * the span join (``find_spans``) returns exactly the span set of the
   uncapped match enumeration, batch and streaming alike, including on a
   log with far more matches than spans.
@@ -38,7 +38,7 @@ from repro.serving.service import DetectionService
 from repro.serving.streaming import StreamingGraph
 from repro.syscall.events import SyscallEvent
 
-from conftest import random_embedded_pattern, random_temporal_graph
+from conftest import random_embedded_pattern, random_temporal_graph, scalar_matches
 
 
 @st.composite
@@ -274,14 +274,13 @@ def restore_backend():
 
 
 class TestJoinByteIdentityHarness:
-    """Seeded adversarial logs pin all join paths byte-identical.
+    """Seeded adversarial logs pin both join paths byte-identical.
 
-    Per case the legacy object join (``use_kernel=False``) is the
+    Per case the scalar column join (forced ``array`` backend) is the
     reference; the vectorized join (numpy backend, with the dispatch
     thresholds zeroed so the mask branches run even on tiny windows)
-    and the scalar buffer join (forced ``array`` backend) must enumerate
-    the same match sequence under every span cap and limit — including
-    limits that cut a mask batch mid-iteration.
+    must enumerate the same match sequence under every span cap and
+    limit — including limits that cut a mask batch mid-iteration.
     """
 
     SEEDS = range(40)
@@ -296,12 +295,8 @@ class TestJoinByteIdentityHarness:
             for max_span in spans:
                 for limit in limits:
                     reference = _match_key(
-                        find_matches(
-                            pattern,
-                            graph,
-                            max_span=max_span,
-                            limit=limit,
-                            use_kernel=False,
+                        scalar_matches(
+                            pattern, graph, max_span=max_span, limit=limit
                         )
                     )
                     for backend in ("numpy", "array"):
@@ -348,9 +343,7 @@ class TestJoinByteIdentityHarness:
         for max_span in (None, rng.randint(1, 6)):
             want = [
                 tuple(batch.edges[i].time for i in m.edge_indexes)
-                for m in find_matches(
-                    pattern, batch, max_span=max_span, use_kernel=False
-                )
+                for m in scalar_matches(pattern, batch, max_span=max_span)
             ]
             for backend in ("numpy", "array"):
                 if backend == "numpy" and not buffers.have_numpy():

@@ -10,6 +10,7 @@ process-fleet supervisor (hard worker kills mid-stream, queue stalls,
 poisoned batches, restart budgets).
 """
 
+import json
 import os
 import pickle
 import random
@@ -31,6 +32,7 @@ from repro.core.pattern import TemporalPattern
 from repro.serving.checkpoint import (
     CheckpointedService,
     CheckpointStore,
+    _frame,
     recover_service,
 )
 from repro.serving.fleet import DetectionFleet
@@ -313,6 +315,44 @@ class TestCheckpointRecovery:
                 for s in spans} == {(q_id, s) for q_id, spans
                                     in service._seen.items() for s in spans}
         assert expected is not None
+
+
+def write_framed(path, payloads):
+    """Write ``payloads`` as checksum-valid frames (the on-disk format)."""
+    path.write_bytes(
+        b"".join(_frame(json.dumps(p).encode("utf-8")) for p in payloads)
+    )
+
+
+class TestCheckpointDecodeErrors:
+    """Checksum-valid files without a valid event batch raise typed errors."""
+
+    def test_snapshot_without_window_columns(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        service = DetectionService()
+        service.register_all(make_queries())
+        durable = CheckpointedService(service, directory)
+        durable.ingest(single_tenant_events(30, 3))
+        durable.close()
+        store = CheckpointStore(directory)
+        path = store.snapshot_path(store.latest_snapshot_generation())
+        payload = store.load_snapshot(store.latest_snapshot_generation())
+        del payload["window_columns"]
+        write_framed(path, [payload])
+        with pytest.raises(CheckpointError, match=path.name):
+            recover_service(directory)
+
+    @pytest.mark.parametrize(
+        "record",
+        [[0, "", {}], {"seq": 0, "epoch": ""}],
+        ids=["json-list", "no-columns"],
+    )
+    def test_wal_record_without_columns(self, tmp_path, record):
+        directory = tmp_path / "ckpt"
+        path = CheckpointStore(directory).wal_path(0)
+        write_framed(path, [record])
+        with pytest.raises(CheckpointError, match=path.name):
+            recover_service(directory, queries=make_queries())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for residual-graph bookkeeping (paper Section 4.2/4.4, Lemma 6)."""
 
+from repro.core.kernel import LabelInterner, build_kernels
 from repro.core.residual import linear_scan_equal, summarize_residuals
 
 from conftest import build_graph
@@ -9,42 +10,44 @@ GRAPHS = [
     build_graph([(0, 1, 0), (1, 2, 1), (2, 0, 2), (0, 2, 3)], labels=["A", "B", "C"]),
     build_graph([(0, 1, 0), (1, 2, 1)], labels=["A", "B", "C"]),
 ]
+INTERNER = LabelInterner()
+KERNELS = build_kernels(GRAPHS, INTERNER)
 
 
 class TestSummaries:
     def test_i_value_counts_residual_edges(self):
         # cut after index 1 in graph 0 leaves 2 edges; cut after index 0
         # in graph 1 leaves 1 edge.
-        summary = summarize_residuals(GRAPHS, [(0, 1), (1, 0)])
+        summary = summarize_residuals(KERNELS, [(0, 1), (1, 0)])
         assert summary.i_value == 3
 
     def test_duplicate_cut_points_collapse(self):
-        a = summarize_residuals(GRAPHS, [(0, 1), (0, 1), (0, 1)])
-        b = summarize_residuals(GRAPHS, [(0, 1)])
+        a = summarize_residuals(KERNELS, [(0, 1), (0, 1), (0, 1)])
+        b = summarize_residuals(KERNELS, [(0, 1)])
         assert a.i_value == b.i_value == 2
 
     def test_label_set_is_suffix_union(self):
-        summary = summarize_residuals(GRAPHS, [(0, 2)])
+        summary = summarize_residuals(KERNELS, [(0, 2)])
         # residual edges of graph 0 after index 2: edge (0,2) -> labels A, C
-        assert summary.label_set == {"A", "C"}
+        assert {INTERNER.label_of(lid) for lid in summary.label_set} == {"A", "C"}
 
     def test_label_computation_optional(self):
-        summary = summarize_residuals(GRAPHS, [(0, 0)], with_labels=False)
+        summary = summarize_residuals(KERNELS, [(0, 0)], with_labels=False)
         assert summary.label_set == frozenset()
 
     def test_cut_pairs_only_when_requested(self):
-        without = summarize_residuals(GRAPHS, [(0, 1)])
-        with_pairs = summarize_residuals(GRAPHS, [(0, 1)], keep_cut_pairs=True)
+        without = summarize_residuals(KERNELS, [(0, 1)])
+        with_pairs = summarize_residuals(KERNELS, [(0, 1)], keep_cut_pairs=True)
         assert without.cut_pairs is None
         assert with_pairs.cut_pairs == ((0, 1),)
 
     def test_empty_cut_points(self):
-        summary = summarize_residuals(GRAPHS, [], keep_cut_pairs=True)
+        summary = summarize_residuals(KERNELS, [], keep_cut_pairs=True)
         assert summary.i_value == 0
         assert summary.cut_pairs == ()
 
     def test_exhausted_graph_contributes_zero(self):
-        summary = summarize_residuals(GRAPHS, [(0, 3)])
+        summary = summarize_residuals(KERNELS, [(0, 3)])
         assert summary.i_value == 0
 
 
