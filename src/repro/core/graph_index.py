@@ -30,13 +30,14 @@ Two client roles:
 Besides the matcher, this module hosts the **candidate-pruning prefilter**
 used across the mining stack: :class:`Signature` summarizes a pattern or
 graph as its node-label multiset plus edge-label-pair multiset, and
-:class:`CandidateFilter` caches signatures and answers "can ``small``
-possibly embed in ``big``?" in O(|signature|) via multiset containment —
-a sound necessary condition for any injective label-preserving mapping.
-The miner consults it before every subgraph-isomorphism test, the VF2
-matcher seeds its per-node candidate lists from the filter's label index,
-and the query engine rejects pattern-vs-log searches whose signature
-cannot occur in the log at all.
+:class:`CandidateFilter` answers "can ``small`` possibly embed in
+``big``?" via multiset containment — a sound necessary condition for any
+injective label-preserving mapping.  Patterns are compared as exact
+bitmasks (:meth:`CandidateFilter.pattern_mask`): the miner stores each
+pattern's mask on its pruning history and tests it inline before every
+subgraph-isomorphism test.  The VF2 matcher seeds its per-node candidate
+lists from the filter's label index, and the query engine rejects
+pattern-vs-log searches whose signature cannot occur in the log at all.
 """
 
 from __future__ import annotations
@@ -713,7 +714,6 @@ class GIStats:
 
     tests: int = 0
     indexes_built: int = 0
-    prefilter_rejections: int = 0
 
 
 @dataclass
@@ -723,11 +723,9 @@ class GraphIndexTester:
     Every test materializes the *big* pattern as a temporal graph and
     freezes it, which (re)builds its one-edge index — reproducing the
     per-discovered-pattern index-construction overhead the paper blames
-    for ``PruneGI``'s slowdown.  An optional :class:`CandidateFilter`
-    rejects impossible pairs by signature before any index is built.
+    for ``PruneGI``'s slowdown.
     """
 
-    prefilter: "CandidateFilter | None" = None
     stats: GIStats = field(default_factory=GIStats)
 
     def contains(self, small: TemporalPattern, big: TemporalPattern) -> bool:
@@ -740,11 +738,6 @@ class GraphIndexTester:
         """Return a witness node mapping for ``small ⊆t big`` or ``None``."""
         self.stats.tests += 1
         if small.num_edges > big.num_edges or small.num_nodes > big.num_nodes:
-            return None
-        if self.prefilter is not None and not self.prefilter.pattern_vs_pattern(
-            small, big
-        ):
-            self.stats.prefilter_rejections += 1
             return None
         big_graph = big.as_temporal_graph()
         self.stats.indexes_built += 1
@@ -764,10 +757,11 @@ class Signature:
     ``node_labels`` counts nodes per label; ``edge_labels`` counts edges
     per ``(src_label, dst_label)`` pair.  Both are plain dicts — the
     signature is built once per object and only read afterwards.  Keys
-    are label strings at the public API; :class:`CandidateFilter`
-    internally re-keys its cached signatures to interned int ids (see
+    are label strings at the public API.  :class:`CandidateFilter`
+    re-keys graph signatures to interned int ids (see
     :class:`~repro.core.kernel.LabelInterner`), which
-    :func:`signature_contains` handles identically.
+    :func:`signature_contains` handles identically, and encodes pattern
+    signatures as exact bitmasks (:meth:`CandidateFilter.pattern_mask`).
     """
 
     node_labels: dict[str, int]
@@ -833,18 +827,29 @@ class CandidateFilter:
     """Signature cache answering "can ``small`` possibly embed in ``big``?".
 
     One filter instance lives per mining run / query engine; it memoizes
-    pattern and graph signatures (patterns are immutable and hashable,
-    graphs are keyed by identity) plus per-pattern label→nodes indexes
-    used to seed VF2 candidate lists.
+    pattern masks, pattern and graph signatures (patterns are immutable
+    and hashable, graphs are keyed by identity) plus per-pattern
+    label→nodes indexes used to seed VF2 candidate lists.
 
-    Internally the containment pretests run over *interned* signatures:
-    the filter owns a :class:`~repro.core.kernel.LabelInterner` and every
-    pattern/graph signature is re-keyed to dense int ids through it, so
-    the per-test multiset comparison hashes ints instead of strings.
-    Interning is a bijection within one filter, hence every pretest
-    answer is identical to the string-keyed comparison; the public
-    :meth:`signature_of_pattern` / :meth:`signature_of_graph` accessors
-    keep returning string-keyed signatures.
+    **Pattern masks.**  :meth:`pattern_mask` encodes a pattern's
+    signature as one int: bit ``(label, k)`` is set for every ``k`` up
+    to the label's node count, bit ``(pair, k)`` likewise for every edge
+    label pair.  Each ``(key, k)`` gets its own bit position, assigned
+    on first sight, so ``small``'s multisets fit in ``big``'s exactly
+    when ``small_mask & ~big_mask == 0`` — the verdict of
+    :func:`signature_contains`, not an approximation (Python ints are
+    unbounded) and independent of the order bits were assigned in.
+    :meth:`pattern_vs_pattern` is that test; the miner runs it inline
+    on the masks it keeps in its pruning history.
+
+    Graph pretests (:meth:`pattern_vs_graph`, :meth:`labels_vs_graph`)
+    compare dict signatures re-keyed to dense int ids through the
+    filter's :class:`~repro.core.kernel.LabelInterner`, so the multiset
+    comparison hashes ints instead of strings.  Interning is a bijection
+    within one filter, hence every answer is identical to the
+    string-keyed comparison; the public :meth:`signature_of_pattern` /
+    :meth:`signature_of_graph` accessors keep returning string-keyed
+    signatures.
     """
 
     def __init__(self) -> None:
@@ -854,6 +859,9 @@ class CandidateFilter:
         self._graph_sigs: dict[int, Signature] = {}
         self._graph_refs: dict[int, TemporalGraph] = {}
         self._label_nodes: dict[TemporalPattern, dict[str, list[int]]] = {}
+        self._pattern_masks: dict[TemporalPattern, int] = {}
+        # (label or label pair, k) -> its bit; positions in first-sight order
+        self._bits: dict[tuple[object, int], int] = {}
         # interned twins, memoized by the same keys as the string caches
         self._pattern_int_sigs: dict[TemporalPattern, Signature] = {}
         self._graph_int_sigs: dict[int, Signature] = {}
@@ -887,6 +895,23 @@ class CandidateFilter:
             self._label_nodes[pattern] = index
         return index
 
+    def pattern_mask(self, pattern: TemporalPattern) -> int:
+        """Cached exact bitmask of a pattern's label signature."""
+        mask = self._pattern_masks.get(pattern)
+        if mask is None:
+            labels = pattern.labels
+            bits = self._bits
+            seen: dict[object, int] = {}
+            mask = 0
+            for key in (*labels, *[(labels[u], labels[v]) for u, v in pattern.edges]):
+                k = seen[key] = seen.get(key, 0) + 1
+                bit = bits.get((key, k))
+                if bit is None:
+                    bit = bits[(key, k)] = 1 << len(bits)
+                mask |= bit
+            self._pattern_masks[pattern] = mask
+        return mask
+
     # -- interned signatures ---------------------------------------------
     def _intern_signature(self, sig: Signature) -> Signature:
         """Re-key a string signature to this filter's interned id space."""
@@ -917,9 +942,11 @@ class CandidateFilter:
     # -- containment pretests --------------------------------------------
     def pattern_vs_pattern(self, small: TemporalPattern, big: TemporalPattern) -> bool:
         """Whether ``small ⊆t big`` is possible by signature containment."""
-        return self._check(
-            self._int_sig_of_pattern(big), self._int_sig_of_pattern(small)
-        )
+        self.stats.checks += 1
+        if self.pattern_mask(small) & ~self.pattern_mask(big):
+            self.stats.rejections += 1
+            return False
+        return True
 
     def pattern_vs_graph(self, pattern: TemporalPattern, graph: TemporalGraph) -> bool:
         """Whether ``pattern`` can possibly match inside ``graph``."""

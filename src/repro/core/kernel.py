@@ -28,10 +28,6 @@ arrays:
   instead of paying the buffer scalar-access tax per incident edge;
 * ``node_label_ids`` — node labels interned to dense ints through a
   :class:`LabelInterner`;
-* ``pair_ids`` — the one-edge substructure index re-keyed by interned
-  ``(src_label_id, dst_label_id)`` pairs (the CSR buckets the matcher
-  joins over; the bucket lists are shared with the owning graph's
-  string-keyed index, not copied);
 * ``suffix_label_ids`` — the residual node-label sets as frozensets of
   interned ids (the only copy: the miner's subgraph pruning reads them
   through :func:`~repro.core.residual.summarize_residuals`).
@@ -156,7 +152,6 @@ class GraphKernel:
         "in_indptr",
         "in_indices",
         "in_srcs",
-        "pair_ids",
         "suffix_label_ids",
     )
 
@@ -172,7 +167,6 @@ class GraphKernel:
         out_indices: list[int],
         in_indptr: list[int],
         in_indices: list[int],
-        pair_ids: dict[tuple[int, int], Sequence[int]],
         suffix_label_ids: list[frozenset[int]],
     ) -> None:
         self.interner = interner
@@ -189,7 +183,6 @@ class GraphKernel:
         self.in_indices = in_indices
         self.out_dsts = [edge_dst[j] for j in out_indices]
         self.in_srcs = [edge_src[j] for j in in_indices]
-        self.pair_ids = pair_ids
         self.suffix_label_ids = suffix_label_ids
 
     @classmethod
@@ -212,10 +205,6 @@ class GraphKernel:
         node_label_ids = [intern(label) for label in labels]
         out_indptr, out_indices = _csr(graph._out)
         in_indptr, in_indices = _csr(graph._in)
-        pair_ids = {
-            (intern(src_label), intern(dst_label)): idxs
-            for (src_label, dst_label), idxs in graph.label_pair_index().items()
-        }
         # suffix_label_ids[i] = interned labels of nodes touched by edges
         # i..end; suffix_label_ids[m] is empty.
         m = len(edge_src)
@@ -236,18 +225,8 @@ class GraphKernel:
             out_indices=out_indices,
             in_indptr=in_indptr,
             in_indices=in_indices,
-            pair_ids=pair_ids,
             suffix_label_ids=suffix,
         )
-
-    # ------------------------------------------------------------------
-    def edge_arrays(self) -> EdgeArrays:
-        """The flat edge columns in the matcher's ``EdgeArrays`` shape."""
-        return (0, self.edge_src, self.edge_dst, self.edge_time)
-
-    def edges_between_ids(self, src_id: int, dst_id: int) -> Sequence[int]:
-        """Time-sorted edge indexes for an interned label pair."""
-        return self.pair_ids.get((src_id, dst_id), ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

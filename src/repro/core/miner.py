@@ -29,12 +29,16 @@ sets from the kernels' interned suffix sets.
 
 The growth loop's hot path is the subgraph-isomorphism tests issued by
 the two prunings.  With :attr:`MinerConfig.index_prefilter` (default on)
-the run owns a :class:`~repro.core.graph_index.CandidateFilter` shared
-with its tester: candidate pairs whose node-label or edge-label-pair
-multisets cannot nest are answered by signature containment before any
-mapping search (``MiningStats.index_prefilter_skips``), and the VF2
-tester seeds candidates from the filter's label index.  The prefilter
-only rejects tests that would provably fail, so mined pattern sets are
+the run owns a :class:`~repro.core.graph_index.CandidateFilter`: every
+reached pattern's exact label-signature bitmask
+(:meth:`~repro.core.graph_index.CandidateFilter.pattern_mask`) is
+computed once and kept on its history entry, and the pruning loops test
+``small_mask & ~big_mask`` inline, after the tester's size check, so
+candidate pairs whose node-label or edge-label-pair multisets cannot
+nest never reach a tester (``MiningStats.index_prefilter_checks`` /
+``index_prefilter_skips``).  The VF2 tester seeds candidates from the
+filter's label index.  The prefilter only rejects tests that would
+provably fail, so mined pattern sets and every other counter are
 identical with it on or off — ``index_prefilter=False`` (CLI
 ``--no-index``) disables it, and :func:`miner_variant` always disables
 it for the five paper baselines so their reproduced cost profiles stay
@@ -105,9 +109,10 @@ class MinerConfig:
         ``"integer"`` (Lemma 6 compression) or ``"linear"`` (LinearScan
         baseline).
     index_prefilter:
-        Route candidate subgraph tests through the
-        :class:`~repro.core.graph_index.CandidateFilter` signature index
-        (sound pruning only; results are identical either way).
+        Pretest candidate subgraph-test pairs by exact label-signature
+        containment (a :class:`~repro.core.graph_index.CandidateFilter`
+        bitmask) before calling the tester (sound pruning only; results
+        are identical either way).
     max_best_patterns:
         Cap on retained co-optimal patterns (ties can be numerous).
     max_seconds:
@@ -231,9 +236,14 @@ def split_seed_table(
 
 @dataclass
 class _HistoryEntry:
-    """A fully-explored pattern retained for pruning lookups."""
+    """A fully-explored pattern retained for pruning lookups.
+
+    ``mask`` is the pattern's label-signature bitmask (``0`` without a
+    candidate filter).
+    """
 
     pattern: TemporalPattern
+    mask: int
     num_nodes: int
     num_edges: int
     pos_residuals: ResidualSummary
@@ -312,21 +322,22 @@ class _MiningRun:
 
     def _make_tester(self):
         if self.config.subgraph_test == "sequence":
-            return SequenceSubgraphTester(prefilter=self.filter)
+            return SequenceSubgraphTester()
         if self.config.subgraph_test == "vf2":
-            return VF2SubgraphTester(prefilter=self.filter)
-        return GraphIndexTester(prefilter=self.filter)
+            return VF2SubgraphTester(label_index=self.filter)
+        return GraphIndexTester()
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear search state so one run object can mine seeds in isolation.
 
         The candidate filter and tester are deliberately retained: their
-        signature caches are sound (they never change which patterns are
-        mined, only how fast tests are answered), and rebuilding them per
-        seed would defeat the point of a per-worker run object.  Used by
-        :mod:`repro.core.parallel` to give every seed subtree a fresh
-        pruning history and incumbent set.
+        caches (bit positions, masks, label indexes) are sound (they
+        never change which patterns are mined, only how fast tests are
+        answered), and rebuilding them per seed would defeat the point
+        of a per-worker run object.  Used by :mod:`repro.core.parallel`
+        to give every seed subtree a fresh pruning history and
+        incumbent set.
         """
         self.stats = MiningStats()
         self.best_score = NEG_INF
@@ -349,11 +360,8 @@ class _MiningRun:
         self._dfs(pattern, pos_embs, neg_embs)
 
     def finalize(self, started: float) -> MiningResult:
-        """Harvest filter counters, rank co-optimals, build the result."""
+        """Rank co-optimals and build the result."""
         self.stats.elapsed_seconds = time.perf_counter() - started
-        if self.filter is not None:
-            self.stats.index_prefilter_checks = self.filter.stats.checks
-            self.stats.index_prefilter_skips = self.tester.stats.prefilter_rejections
         self.best.sort(key=lambda m: (m.pattern.num_edges, str(m.pattern.key())))
         return MiningResult(
             best_score=self.best_score,
@@ -391,6 +399,7 @@ class _MiningRun:
         neg_freq = len(neg_embs) / self.n_neg
         score = self.score_fn.score(pos_freq, neg_freq)
         self._record(pattern, score, pos_freq, neg_freq)
+        mask = self.filter.pattern_mask(pattern) if self.filter is not None else 0
 
         pos_res = summarize_residuals(
             self.pos_kernels,
@@ -408,11 +417,11 @@ class _MiningRun:
         branch_ub = score
         pruned_ub = None
         if self.config.subgraph_pruning:
-            pruned_ub = self._try_subgraph_pruning(pattern, pos_res)
+            pruned_ub = self._try_subgraph_pruning(pattern, mask, pos_res)
             if pruned_ub is not None:
                 self.stats.subgraph_pruning_triggers += 1
         if pruned_ub is None and self.config.supergraph_pruning:
-            pruned_ub = self._try_supergraph_pruning(pattern, pos_res, neg_res)
+            pruned_ub = self._try_supergraph_pruning(pattern, mask, pos_res, neg_res)
             if pruned_ub is not None:
                 self.stats.supergraph_pruning_triggers += 1
 
@@ -428,7 +437,7 @@ class _MiningRun:
                 branch_ub = max(
                     branch_ub, self._grow_children(pattern, pos_embs, neg_embs)
                 )
-        self._remember(pattern, pos_res, neg_res, branch_ub)
+        self._remember(pattern, mask, pos_res, neg_res, branch_ub)
         return branch_ub
 
     def _grow_children(
@@ -440,13 +449,12 @@ class _MiningRun:
         pos_ext = extend_embeddings(self.positives, pos_embs, self.pos_kernels)
         neg_ext = extend_embeddings(self.negatives, neg_embs, self.neg_kernels)
         min_count = self.config.min_pos_support * self.n_pos
+        # drop unsupported children before sorting: most keys fall short
+        supported = [key for key, emb in pos_ext.items() if len(emb) >= min_count]
         branch_ub = NEG_INF
-        for key in sort_extension_keys(pos_ext):
-            child_pos = pos_ext[key]
-            if len(child_pos) < min_count:
-                continue
+        for key in sort_extension_keys(supported):
             child = child_pattern(pattern, key)
-            child_ub = self._dfs(child, child_pos, neg_ext.get(key, {}))
+            child_ub = self._dfs(child, pos_ext[key], neg_ext.get(key, {}))
             branch_ub = max(branch_ub, child_ub)
             if self._out_of_time():
                 break
@@ -456,9 +464,16 @@ class _MiningRun:
     # pruning
     # ------------------------------------------------------------------
     def _try_subgraph_pruning(
-        self, pattern: TemporalPattern, pos_res: ResidualSummary
+        self, pattern: TemporalPattern, mask: int, pos_res: ResidualSummary
     ) -> float | None:
-        """Lemma 4: return the pruned branch's score bound, or ``None``."""
+        """Lemma 4: return the pruned branch's score bound, or ``None``.
+
+        With a candidate filter, a candidate pair reaches the tester only
+        if it passes the tester's own size check and the exact label
+        pretest: ``pattern``'s mask must be covered by the entry's.
+        """
+        stats = self.stats
+        filtered = self.filter is not None
         key = self._sub_key(pos_res)
         for entry in self.sub_index.get(key, ()):  # discovered before `pattern`
             if entry.branch_upper_bound >= self.best_score:
@@ -467,7 +482,15 @@ class _MiningRun:
                 continue
             if not self._residuals_equal(pos_res, entry.pos_residuals):
                 continue
-            self.stats.subgraph_tests += 1
+            stats.subgraph_tests += 1
+            if filtered:
+                # the tester's size check (the edge count passed above)
+                if pattern.num_nodes > entry.num_nodes:
+                    continue
+                stats.index_prefilter_checks += 1
+                if mask & ~entry.mask:
+                    stats.index_prefilter_skips += 1
+                    continue
             mapping = self.tester.mapping(pattern, entry.pattern)
             if mapping is None:
                 continue
@@ -490,10 +513,18 @@ class _MiningRun:
     def _try_supergraph_pruning(
         self,
         pattern: TemporalPattern,
+        mask: int,
         pos_res: ResidualSummary,
         neg_res: ResidualSummary,
     ) -> float | None:
-        """Proposition 2: return the pruned branch's score bound, or ``None``."""
+        """Proposition 2: return the pruned branch's score bound, or ``None``.
+
+        The candidate filter pretests as in :meth:`_try_subgraph_pruning`
+        with the roles swapped; the tester's size check always passes
+        here (the key fixes the node count, the loop the edge count).
+        """
+        stats = self.stats
+        filtered = self.filter is not None
         key = self._super_key(pos_res, neg_res, pattern.num_nodes)
         for entry in self.super_index.get(key, ()):
             if entry.branch_upper_bound >= self.best_score:
@@ -504,7 +535,12 @@ class _MiningRun:
                 continue
             if not self._residuals_equal(neg_res, entry.neg_residuals):
                 continue
-            self.stats.subgraph_tests += 1
+            stats.subgraph_tests += 1
+            if filtered:
+                stats.index_prefilter_checks += 1
+                if entry.mask & ~mask:
+                    stats.index_prefilter_skips += 1
+                    continue
             if self.tester.mapping(entry.pattern, pattern) is None:
                 continue
             return entry.branch_upper_bound
@@ -531,12 +567,14 @@ class _MiningRun:
     def _remember(
         self,
         pattern: TemporalPattern,
+        mask: int,
         pos_res: ResidualSummary,
         neg_res: ResidualSummary,
         branch_ub: float,
     ) -> None:
         entry = _HistoryEntry(
             pattern=pattern,
+            mask=mask,
             num_nodes=pattern.num_nodes,
             num_edges=pattern.num_edges,
             pos_residuals=pos_res,

@@ -18,9 +18,9 @@ exploits this to shard the search:
   (workers attach to the corpus columns instead of unpickling a private
   copy, see :mod:`repro.core.shm`), inherited copy-on-write under
   ``fork`` — its
-  :class:`~repro.core.graph_index.CandidateFilter` and subgraph-tester
-  signature caches persist across all the seeds that worker mines, and
-  so do its interned-label CSR kernels
+  :class:`~repro.core.graph_index.CandidateFilter` caches (bit
+  positions, pattern masks) persist across all the seeds that worker
+  mines, and so do its interned-label CSR kernels
   (:mod:`repro.core.kernel`), which the run constructor *rebuilds* in
   the worker process: :class:`~repro.core.graph.TemporalGraph` drops its
   kernel cache on pickling, so kernels are never shipped, only derived
@@ -179,7 +179,7 @@ class _WorkerState:
     """One pool worker's mining state, built once per process.
 
     Owns a :class:`_MiningRun` (hence one CandidateFilter + tester whose
-    signature caches serve every seed this worker mines) and the full
+    caches serve every seed this worker mines) and the full
     seed table — handed over from the parent, which already enumerated
     it to build the task list (free under ``fork``, pickled once per
     worker under ``spawn``); recomputed locally only if absent.  Tasks
@@ -209,16 +209,9 @@ class _WorkerState:
     def mine_seed(self, seed: SeedKey) -> "SeedResult":
         run = self.run
         run.reset()
-        checks_before = run.filter.stats.checks if run.filter is not None else 0
-        skips_before = run.tester.stats.prefilter_rejections
         started = time.perf_counter()
         run.run_seed(seed[0], seed[1], self.seeds.get(seed, {}))
         run.stats.elapsed_seconds = time.perf_counter() - started
-        if run.filter is not None:
-            run.stats.index_prefilter_checks = run.filter.stats.checks - checks_before
-            run.stats.index_prefilter_skips = (
-                run.tester.stats.prefilter_rejections - skips_before
-            )
         return SeedResult(
             seed=seed,
             best_score=run.best_score,
@@ -260,7 +253,7 @@ def _mine_seed_task(seed: SeedKey) -> "SeedResult":
 
 def _clear_worker_state() -> None:
     # an inline (workers=1) run sets the module global in this process;
-    # drop it so the corpus, seed tables, and signature caches can be
+    # drop it so the corpus, seed tables, and filter caches can be
     # garbage-collected in library use
     global _STATE
     _STATE = None

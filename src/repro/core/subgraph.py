@@ -34,7 +34,6 @@ class SubgraphTestStats:
 
     tests: int = 0
     label_rejections: int = 0
-    prefilter_rejections: int = 0
     mappings_tried: int = 0
     prefix_hits: int = 0
 
@@ -47,16 +46,16 @@ class SequenceSubgraphTester:
     subgraph tests (70M+ in the paper's sshd-login workload) and the work
     saved by each pruning technique can be reported.
 
-    When a :class:`~repro.core.graph_index.CandidateFilter` is supplied,
-    its O(|labels|) signature-containment pretest runs before the
-    subsequence label test; it rejects only pairs that provably have no
-    mapping, so results are unchanged.
+    The tester itself runs no label-multiset pretest: with
+    ``MinerConfig.index_prefilter`` on, the miner compares the pair's
+    exact signature bitmasks
+    (:meth:`~repro.core.graph_index.CandidateFilter.pattern_mask`) before
+    calling :meth:`mapping`, so only pairs that pass reach it.
     """
 
     use_label_test: bool = True
     use_local_info: bool = True
     use_prefix_pruning: bool = True
-    prefilter: object | None = None
     stats: SubgraphTestStats = field(default_factory=SubgraphTestStats)
 
     # ------------------------------------------------------------------
@@ -74,11 +73,6 @@ class SequenceSubgraphTester:
         """
         self.stats.tests += 1
         if small.num_edges > big.num_edges or small.num_nodes > big.num_nodes:
-            return None
-        if self.prefilter is not None and not self.prefilter.pattern_vs_pattern(
-            small, big
-        ):
-            self.stats.prefilter_rejections += 1
             return None
         enc_small = encode(small)
         enc_big = encode(big)

@@ -13,15 +13,17 @@ the subsequence-test algorithm.  We keep the implementation faithful to
 that structure rather than "fixing" it.
 
 The one optional deviation is the index-backed candidate seeding: with a
-:class:`~repro.core.graph_index.CandidateFilter` supplied, impossible
-pairs are rejected by signature containment before any state search, and
-per-node candidate lists are seeded from the filter's label → nodes
-index of the big pattern instead of scanning all of its nodes.  Both are
-pure candidate pruning — the accepted mappings are identical.  The bare
-tester carries no filter, and :func:`repro.core.miner.miner_variant`
-builds the ``PruneVF2`` baseline without one, so the paper's unfiltered
-cost profile stays reproducible; only ``TGMiner`` configs with
-``index_prefilter`` enabled attach a filter.
+:class:`~repro.core.graph_index.CandidateFilter` supplied as
+``label_index``, per-node candidate lists are seeded from the filter's
+label → nodes index of the big pattern instead of scanning all of its
+nodes.  This is pure candidate pruning — the accepted mappings are
+identical.  The tester runs no signature pretest of its own: with the
+filter on, the miner rejects pairs whose label multisets cannot nest
+before calling it.  The bare tester carries no filter, and
+:func:`repro.core.miner.miner_variant` builds the ``PruneVF2`` baseline
+without one, so the paper's unfiltered cost profile stays reproducible;
+only ``TGMiner`` configs with ``index_prefilter`` enabled attach a
+filter.
 """
 
 from __future__ import annotations
@@ -40,14 +42,17 @@ class VF2Stats:
     tests: int = 0
     states_visited: int = 0
     verifications: int = 0
-    prefilter_rejections: int = 0
 
 
 @dataclass
 class VF2SubgraphTester:
-    """VF2-style tester with the same interface as the sequence tester."""
+    """VF2-style tester with the same interface as the sequence tester.
 
-    prefilter: object | None = None
+    ``label_index``: an optional candidate filter whose label → nodes
+    index seeds the per-node candidate lists (see the module docstring).
+    """
+
+    label_index: object | None = None
     stats: VF2Stats = field(default_factory=VF2Stats)
 
     def contains(self, small: TemporalPattern, big: TemporalPattern) -> bool:
@@ -61,11 +66,6 @@ class VF2SubgraphTester:
         self.stats.tests += 1
         if small.num_edges > big.num_edges or small.num_nodes > big.num_nodes:
             return None
-        if self.prefilter is not None and not self.prefilter.pattern_vs_pattern(
-            small, big
-        ):
-            self.stats.prefilter_rejections += 1
-            return None
         # Static structures.
         small_adj = _adjacency(small)
         big_adj = _adjacency(big)
@@ -76,9 +76,8 @@ class VF2SubgraphTester:
         # Candidate big nodes per small node, filtered by label + degree.
         # With a filter, candidates come from its label → nodes index of
         # `big` (same lists, in the same node order, without the scan).
-        by_label = (
-            self.prefilter.label_nodes(big) if self.prefilter is not None else None
-        )
+        index = self.label_index
+        by_label = index.label_nodes(big) if index is not None else None
         candidates: list[list[int]] = []
         for a in range(n_small):
             pool = (

@@ -6,15 +6,19 @@ return results identical to its unindexed counterpart.
 """
 
 import random
+from dataclasses import fields
+
+import pytest
 
 from repro.core.graph_index import (
     CandidateFilter,
+    GraphIndexTester,
     Signature,
     graph_signature,
     pattern_signature,
     signature_contains,
 )
-from repro.core.miner import MinerConfig, TGMiner
+from repro.core.miner import MinerConfig, MiningStats, TGMiner
 from repro.core.pattern import TemporalPattern
 from repro.core.subgraph import SequenceSubgraphTester
 from repro.core.vf2 import VF2SubgraphTester
@@ -121,32 +125,34 @@ class TestCandidateFilter:
         assert filt.label_nodes(pattern) == {"A": [0, 2], "B": [1]}
 
 
-class TestFilteredTesters:
-    def test_sequence_and_vf2_match_unfiltered(self):
+class TestVF2LabelIndex:
+    def test_vf2_with_label_index_agrees_with_sequence_tester(self):
         rng = random.Random(11)
-        filt = CandidateFilter()
-        plain_seq, filt_seq = SequenceSubgraphTester(), SequenceSubgraphTester(
-            prefilter=filt
-        )
-        plain_vf2, filt_vf2 = VF2SubgraphTester(), VF2SubgraphTester(prefilter=filt)
+        sequence = SequenceSubgraphTester()
+        plain = VF2SubgraphTester()
+        indexed = VF2SubgraphTester(label_index=CandidateFilter())
         for _ in range(150):
             small = random_pattern(rng, n_nodes=4, n_edges=5)
             big = random_pattern(rng, n_nodes=6, n_edges=10)
-            expected = plain_seq.contains(small, big)
-            assert filt_seq.contains(small, big) == expected
-            assert plain_vf2.contains(small, big) == expected
-            assert filt_vf2.contains(small, big) == expected
-        assert filt_seq.stats.prefilter_rejections > 0
-        assert filt_vf2.stats.prefilter_rejections > 0
+            expected = sequence.contains(small, big)
+            assert plain.contains(small, big) == expected
+            assert indexed.contains(small, big) == expected
 
-    def test_vf2_mapping_identical_with_filter(self):
+    def test_vf2_mapping_identical_with_label_index(self):
         rng = random.Random(13)
         filt = CandidateFilter()
-        plain, filtered = VF2SubgraphTester(), VF2SubgraphTester(prefilter=filt)
+        plain, indexed = VF2SubgraphTester(), VF2SubgraphTester(label_index=filt)
         for _ in range(80):
             big = random_pattern(rng, n_nodes=6, n_edges=9)
             small = random_embedded_pattern(rng, big.as_temporal_graph(), max_edges=3)
-            assert plain.mapping(small, big) == filtered.mapping(small, big)
+            assert plain.mapping(small, big) == indexed.mapping(small, big)
+
+
+TESTERS = {
+    "gi": GraphIndexTester,
+    "sequence": SequenceSubgraphTester,
+    "vf2": VF2SubgraphTester,
+}
 
 
 def mining_corpus(seed=0, n_pos=6, n_neg=6):
@@ -212,6 +218,62 @@ class TestIndexedMining:
                 result = TGMiner(config).mine(pos, neg)
                 keys.add(tuple(m.pattern.key() for m in result.best))
         assert len(keys) == 1
+
+    @pytest.mark.parametrize("tester", sorted(TESTERS))
+    def test_pretest_forwards_exactly_the_nesting_pairs(self, tester, monkeypatch):
+        """The inline mask pretest is exact and changes no other counter.
+
+        With the filter off every candidate pair reaches the tester; with
+        it on, exactly those that pass the tester's size check and
+        label-signature containment do, in the same order.
+        """
+        pos, neg = mining_corpus()
+        cls = TESTERS[tester]
+        mapping = cls.mapping
+        calls: list = []
+
+        def recording(self, small, big):
+            calls.append((small, big))
+            return mapping(self, small, big)
+
+        monkeypatch.setattr(cls, "mapping", recording)
+        runs = {}
+        for indexed in (True, False):
+            calls.clear()
+            # a low support floor lets both prunings fire on this corpus
+            config = MinerConfig(
+                max_edges=4,
+                min_pos_support=0.3,
+                subgraph_test=tester,
+                index_prefilter=indexed,
+            )
+            stats = TGMiner(config).mine(pos, neg).stats
+            runs[indexed] = (list(calls), stats)
+        (on_pairs, on), (off_pairs, off) = runs[True], runs[False]
+        sized = [
+            (small, big)
+            for small, big in off_pairs
+            if small.num_edges <= big.num_edges and small.num_nodes <= big.num_nodes
+        ]
+        nests = [
+            signature_contains(pattern_signature(big), pattern_signature(small))
+            for small, big in sized
+        ]
+        assert on_pairs == [pair for pair, ok in zip(sized, nests) if ok]
+        assert on.index_prefilter_checks == len(sized)
+        assert on.index_prefilter_skips == nests.count(False) > 0
+        assert off.index_prefilter_checks == off.index_prefilter_skips == 0
+        prefilter_fields = {
+            "elapsed_seconds",
+            "index_prefilter_checks",
+            "index_prefilter_skips",
+        }
+        for stat in fields(MiningStats):
+            if stat.name not in prefilter_fields:
+                assert getattr(on, stat.name) == getattr(off, stat.name), stat.name
+        assert off.subgraph_tests == len(off_pairs)
+        assert on.subgraph_pruning_triggers > 0
+        assert on.supergraph_pruning_triggers > 0
 
 
 class TestIndexedQueries:

@@ -41,6 +41,21 @@ from repro.syscall.events import SyscallEvent
 from conftest import random_embedded_pattern, random_temporal_graph
 
 
+#: Hand-built pretest cases: repeated node labels, parallel edges
+#: (repeated label pairs) and labels only some patterns have.
+MASK_CASES = [
+    TemporalPattern(("A", "B"), ((0, 1),)),
+    TemporalPattern(("A", "B"), ((0, 1), (0, 1))),
+    TemporalPattern(("A", "B"), ((0, 1), (0, 1), (0, 1))),
+    TemporalPattern(("A", "B", "A"), ((0, 1), (1, 2))),
+    TemporalPattern(("A", "B", "A", "B"), ((0, 1), (1, 2), (2, 3), (0, 1))),
+    TemporalPattern(("A", "A", "B"), ((0, 1), (1, 2), (0, 2))),
+    TemporalPattern(("A", "X"), ((0, 1),)),
+    TemporalPattern(("X", "A", "A", "A"), ((0, 1), (0, 2), (0, 3))),
+    TemporalPattern(("X", "A", "A"), ((0, 1), (0, 2), (0, 1))),
+]
+
+
 def random_corpus(rng, count=6, n_nodes=8, n_edges=18, alphabet="ABCD"):
     return [
         random_temporal_graph(
@@ -97,17 +112,6 @@ class TestGraphKernel:
             assert in_row == [
                 i for i, e in enumerate(graph.edges) if e.dst == node
             ]
-
-    def test_pair_buckets_share_graph_index_lists(self):
-        rng = random.Random(11)
-        graph = random_temporal_graph(rng)
-        kernel = graph.kernel()
-        interner = kernel.interner
-        for (src_label, dst_label), idxs in graph.label_pair_index().items():
-            bucket = kernel.edges_between_ids(
-                interner.id_of(src_label), interner.id_of(dst_label)
-            )
-            assert bucket is idxs  # shared storage, not a copy
 
     def test_suffix_label_ids_match_string_sets(self):
         rng = random.Random(13)
@@ -458,14 +462,20 @@ class TestResidualAndSignatureEquivalence:
             random_embedded_pattern(rng, graph)
             for graph in graphs
             for _ in range(4)
-        ]
-        filt = CandidateFilter()
+        ] + MASK_CASES
+        rng.shuffle(patterns)
+        # bit positions are assigned on first sight: `filt` sees the
+        # patterns in list order, `reverse` in the opposite order
+        filt, reverse = CandidateFilter(), CandidateFilter()
+        for pattern in reversed(patterns):
+            reverse.pattern_mask(pattern)
         for small in patterns:
             for big in patterns:
                 expected = signature_contains(
                     pattern_signature(big), pattern_signature(small)
                 )
                 assert filt.pattern_vs_pattern(small, big) is expected
+                assert reverse.pattern_vs_pattern(small, big) is expected
             for graph in graphs:
                 expected = signature_contains(
                     graph_signature(graph), pattern_signature(small)

@@ -83,26 +83,41 @@ class TestByteIdentity:
     def test_worker_results_invariant_to_worker_count(self, train):
         # Stronger than the pattern-set contract: the full merged result
         # (including per-size incumbents and summed counters) may not
-        # depend on how many processes mined the seeds.
+        # depend on how many processes mined the seeds.  ftp-download's
+        # history lookups never reach a subgraph test; apt-get-update's
+        # do, so its prefilter and pruning counters are pinned too.
         config = MinerConfig(max_edges=4, min_pos_support=0.7)
-        results = {
-            workers: ParallelMiner(config, workers=workers).mine(
-                train.behavior("ftp-download"), train.background
-            )
-            for workers in WORKER_COUNTS
-        }
-        reference = results[1]
-        ref_sizes = {
-            s: (m.pattern.key(), m.score) for s, m in reference.best_by_size.items()
-        }
-        for workers, result in results.items():
-            assert mining_fingerprint(result) == mining_fingerprint(reference)
-            assert {
-                s: (m.pattern.key(), m.score) for s, m in result.best_by_size.items()
-            } == ref_sizes
-            assert (
-                result.stats.patterns_explored == reference.stats.patterns_explored
-            ), f"workers={workers}"
+        for behavior in ("ftp-download", "apt-get-update"):
+            results = {
+                workers: ParallelMiner(config, workers=workers).mine(
+                    train.behavior(behavior), train.background
+                )
+                for workers in WORKER_COUNTS
+            }
+            reference = results[1]
+            ref_sizes = {
+                s: (m.pattern.key(), m.score)
+                for s, m in reference.best_by_size.items()
+            }
+            for workers, result in results.items():
+                assert mining_fingerprint(result) == mining_fingerprint(reference)
+                assert {
+                    s: (m.pattern.key(), m.score)
+                    for s, m in result.best_by_size.items()
+                } == ref_sizes
+                for counter in (
+                    "patterns_explored",
+                    "subgraph_tests",
+                    "index_prefilter_checks",
+                    "index_prefilter_skips",
+                    "subgraph_pruning_triggers",
+                    "supergraph_pruning_triggers",
+                ):
+                    assert getattr(result.stats, counter) == getattr(
+                        reference.stats, counter
+                    ), f"{behavior} workers={workers} {counter}"
+        assert reference.stats.index_prefilter_skips > 0
+        assert reference.stats.supergraph_pruning_triggers > 0
 
 
 def _concurrent_workload(seed: int, graphs: int, flip: bool):
