@@ -50,7 +50,7 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.core.brute import Match
 from repro.core.buffers import active_numpy, as_ndarray
-from repro.core.graph import TemporalEdge, TemporalGraph
+from repro.core.graph import TemporalGraph
 from repro.core.kernel import EdgeArrays, LabelInterner
 from repro.core.pattern import TemporalPattern
 
@@ -80,21 +80,19 @@ class EdgeIndexedSource(Protocol):
 
     A frozen :class:`TemporalGraph` satisfies this, and so does the live
     :class:`~repro.serving.streaming.StreamingGraph`, whose edge ids are
-    global ingest positions (``edges[id]`` stays valid for any live id
-    even after older edges were evicted).  ``edges_between`` lists must be
-    sorted ascending and id order must equal time order — the temporal
-    join relies on it for the frontier bisects and the span-cap break.
+    global ingest positions that stay valid for any live edge even after
+    older edges were evicted.  ``edges_between`` lists must be sorted
+    ascending and id order must equal time order — the temporal join
+    relies on it for the frontier bisects and the span-cap break.
     ``edge_arrays()`` returns the flat ``(base, src, dst, time)`` columns
     the joins read, where position ``id - base`` describes edge ``id``:
     frozen graphs build them once, ``StreamingGraph`` maintains them
-    across ingest and eviction.
+    across ingest and eviction.  The columns are the only per-edge
+    access: a source need not keep edge objects.
     """
 
     @property
     def num_edges(self) -> int: ...
-
-    @property
-    def edges(self) -> Sequence[TemporalEdge]: ...
 
     def edges_between(self, src_label: str, dst_label: str) -> Sequence[int]: ...
 
@@ -698,14 +696,21 @@ def find_spans(
         if recorded:
             recorded = set()
         join(1, idx)
+    # join reaches itself through its closure cell; unbinding it breaks
+    # the only reference cycle here, so the closures, their cells and the
+    # sets they hold are freed on return instead of by the cyclic collector
+    del join
     return spans
 
 
 def match_span(match: Match, graph: "TemporalGraph | EdgeIndexedSource") -> Span:
-    """Return ``(start_time, end_time)`` of a match in ``graph``."""
-    first = graph.edges[match.edge_indexes[0]].time
-    last = graph.edges[match.edge_indexes[-1]].time
-    return (first, last)
+    """Return ``(start_time, end_time)`` of a match in ``graph``.
+
+    Reads the time column of ``graph.edge_arrays()``, so it works for
+    frozen graphs and live windows alike.
+    """
+    base, _src, _dst, times = graph.edge_arrays()
+    return (times[match.edge_indexes[0] - base], times[match.edge_indexes[-1] - base])
 
 
 @dataclass

@@ -7,7 +7,8 @@ two on-disk artifacts per service directory:
 
 **Generational snapshots** (``snapshot-<gen>.snap``, gen >= 1): a
 checksummed JSON capture of everything detection output depends on —
-the live window (as replayable events), the query slate, the dedup
+the live window (as replayable event columns, read straight from the
+window's own columns), the query slate, the dedup
 state (``_seen``), the batch clock, and the additive stats counters.
 Snapshots are published atomically (tmp file + ``os.replace`` + fsync),
 and a corrupt snapshot is *detected* (CRC mismatch, truncation, bad
@@ -90,7 +91,9 @@ _SNAPSHOT_FMT = "snapshot-%08d.snap"
 _WAL_FMT = "wal-%08d.log"
 
 #: Column order of the packed event encoding used in WAL records and
-#: snapshot window captures.  Columnar beats one-dict-per-event by ~7x
+#: snapshot window captures (:meth:`StreamingGraph.window_columns
+#: <repro.serving.streaming.StreamingGraph.window_columns>` emits the
+#: same layout).  Columnar beats one-dict-per-event by ~7x
 #: on encode (six primitive lists amortize the JSON encoder's per-object
 #: dispatch), which is what keeps the WAL tax on the hot ingest path
 #: inside the benchmark's overhead ceiling (``bench_recovery.py``).
@@ -457,7 +460,7 @@ def _service_to_payload(service: DetectionService, generation: int) -> dict:
         "use_prefilter": service.use_prefilter,
         "reloads": service.reloads,
         "queries": [query_to_dict(query) for _id, query in service.registry],
-        "window_columns": _events_to_columns(service.graph.window_events()),
+        "window_columns": service.graph.window_columns(),
         "seen": {
             str(query_id): sorted(list(span) for span in spans)
             for query_id, spans in service._seen.items()

@@ -17,14 +17,19 @@ core's span join (:func:`repro.core.graph_index.find_spans`):
   so per-batch work scales with the query's span, not the window size;
 * the join reads the window's flat ``(src, dst, time)`` edge columns,
   maintained incrementally by :meth:`StreamingGraph.edge_arrays` across
-  ingest and eviction, in place.
+  ingest and eviction, in place — the window keeps no edge objects, and
+  the join leaves no reference cycles, so a request leaves nothing for
+  the cyclic garbage collector.
 
 Detections are deduplicated by ``(query, span)``, matching the batch
 engine's span semantics: accumulating the detections of a replayed log
 yields exactly the span set ``QueryEngine.search_temporal`` reports on
 the frozen whole — the equivalence `tests/test_serving.py` asserts.
 Both sides compute exact span sets, with no match cap, so the
-equivalence holds for every query, however many matches it has.
+equivalence holds for every query, however many matches it has, as
+long as each live entity key keeps one label (the window indexes an
+edge under its nodes' labels; a key that leaves the window and returns
+relabeled is a new node to the stream but not to the batch graph).
 """
 
 from __future__ import annotations

@@ -107,13 +107,14 @@ class TestEvictionBoundary:
         start = stream.first_live_index
         pattern = TemporalPattern(["A", "B"], [(0, 1)])
         batch = stream.as_temporal_graph(name="rebuild")
+        base, _src, _dst, times = stream.edge_arrays()
         for max_span in (None, 2, 100):
             want = [
                 tuple(batch.edges[i].time for i in m.edge_indexes)
                 for m in scalar_matches(pattern, batch, max_span=max_span)
             ]
             got = [
-                tuple(stream.edges[i].time for i in m.edge_indexes)
+                tuple(times[i - base] for i in m.edge_indexes)
                 for m in find_matches(
                     pattern, stream, max_span=max_span, start_index=start
                 )

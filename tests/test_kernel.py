@@ -10,6 +10,7 @@ on random temporal graphs, so any divergence fails loudly.
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.graph_index import (
     CandidateFilter,
     find_matches,
     graph_signature,
+    match_span,
     pattern_signature,
     signature_contains,
 )
@@ -367,31 +369,83 @@ class TestStreamingKernel:
             events.append(self.event(t, sk, sl, dk, dl))
         return events
 
-    def assert_columns_match_store(self, graph):
+    @staticmethod
+    def advance_model(window, batch, span):
+        """The plain-list window after ``batch``: late drop, merge, evict."""
+        kept = sorted(batch)
+        if window:
+            kept = [row for row in kept if row[0] >= window[-1][0] - span]
+        if not kept:
+            return window
+        floor = kept[0][0] - span
+        return [row for row in sorted(window + kept) if row[0] >= floor]
+
+    @staticmethod
+    def assert_matches_model(graph, window):
+        """Columns, pair index and signature equal the model's window."""
         base, srcs, dsts, times = graph.edge_arrays()
-        assert base == graph._base
-        assert len(srcs) == len(dsts) == len(times) == len(graph._store)
-        for offset, edge in enumerate(graph._store):
-            assert (srcs[offset], dsts[offset], times[offset]) == (
-                edge.src,
-                edge.dst,
-                edge.time,
-            )
+        first = graph.first_live_index
+        assert graph.num_edges == len(window) == graph.next_index - first
+        assert len(srcs) == len(dsts) == len(times) == graph.next_index - base
+        lo = first - base
+        assert list(times[lo:]) == [row[0] for row in window]
+        # node ids and entity keys correspond one to one (each key of the
+        # stream keeps one label)
+        label_of_key = {row[1]: row[2] for row in window}
+        label_of_key.update((row[3], row[4]) for row in window)
+        key_of: dict[int, str] = {}
+        for src, dst, row in zip(srcs[lo:], dsts[lo:], window):
+            assert key_of.setdefault(src, row[1]) == row[1]
+            assert key_of.setdefault(dst, row[3]) == row[3]
+        assert len(set(key_of.values())) == len(key_of) == graph.num_nodes
+        for node, key in key_of.items():
+            assert graph.label(node) == label_of_key[key]
+        # the one-edge index lists each pair's live ids, ascending
+        model_pairs: dict[tuple[str, str], list[int]] = {}
+        for offset, row in enumerate(window):
+            model_pairs.setdefault((row[2], row[4]), []).append(first + offset)
+        for (a, b), ids in model_pairs.items():
+            listed = list(graph.edges_between(a, b))
+            assert listed == sorted(listed)
+            assert [i for i in listed if i >= first] == ids
+        sig = graph.signature()
+        assert sig.node_labels == dict(Counter(label_of_key.values()))
+        assert sig.edge_labels == {pair: len(ids) for pair, ids in model_pairs.items()}
+        assert graph.window_columns() == {
+            "time": [row[0] for row in window],
+            "syscall": ["window-replay"] * len(window),
+            "src_key": [row[1] for row in window],
+            "src_label": [row[2] for row in window],
+            "dst_key": [row[3] for row in window],
+            "dst_label": [row[4] for row in window],
+        }
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_columns_survive_ingest_evict_and_ooo(self, seed):
         rng = random.Random(seed)
         events = self.random_stream(rng)
-        graph = StreamingGraph(window_span=30)
-        # shuffle batch boundaries and inject mild out-of-order arrival
-        pos = 0
-        while pos < len(events):
+        span = 30
+        graph = StreamingGraph(window_span=span)
+        window: list[tuple] = []
+        # shuffle batch boundaries and hold some events back a batch, so
+        # arrivals regress across batches (tail reinsertion, late drops)
+        pos, held = 0, []
+        while pos < len(events) or held:
             size = rng.randrange(1, 20)
             batch = events[pos : pos + size]
+            pos += size
+            late = [e for e in batch if rng.random() < 0.15]
+            batch = [e for e in batch if e not in late] + held
+            held = late
             rng.shuffle(batch)
             graph.ingest(batch)
-            self.assert_columns_match_store(graph)
-            pos += size
+            rows = [
+                (e.time, e.src_key, e.src_label, e.dst_key, e.dst_label)
+                for e in batch
+            ]
+            window = self.advance_model(window, rows, span)
+            self.assert_matches_model(graph, window)
+        assert graph.stats.reinserted and graph.stats.evicted
 
     def test_streaming_join_uses_columns(self):
         rng = random.Random(9)
@@ -400,15 +454,11 @@ class TestStreamingKernel:
         graph.ingest(events)
         batch = graph.as_temporal_graph()
         pattern = random_embedded_pattern(rng, batch)
-        live = {
-            (graph.edges[m.edge_indexes[0]].time, graph.edges[m.edge_indexes[-1]].time)
-            for m in find_matches(pattern, graph, max_span=50)
+        live = find_matches(pattern, graph, max_span=50)
+        frozen = find_matches(pattern, batch, max_span=50)
+        assert {match_span(m, graph) for m in live} == {
+            match_span(m, batch) for m in frozen
         }
-        frozen = {
-            (batch.edges[m.edge_indexes[0]].time, batch.edges[m.edge_indexes[-1]].time)
-            for m in find_matches(pattern, batch, max_span=50)
-        }
-        assert live == frozen
 
 
 # ----------------------------------------------------------------------

@@ -339,6 +339,7 @@ class TestJoinByteIdentityHarness:
             events = events[k:]
         batch = stream.as_temporal_graph(name="rebuild")
         start = stream.first_live_index
+        base, _src, _dst, times = stream.edge_arrays()
         pattern = _query_for(rng, batch)
         for max_span in (None, rng.randint(1, 6)):
             want = [
@@ -350,7 +351,7 @@ class TestJoinByteIdentityHarness:
                     continue
                 buffers.force_backend(backend)
                 got = [
-                    tuple(stream.edges[i].time for i in m.edge_indexes)
+                    tuple(times[i - base] for i in m.edge_indexes)
                     for m in find_matches(
                         pattern, stream, max_span=max_span, start_index=start
                     )

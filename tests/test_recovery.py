@@ -195,6 +195,39 @@ class TestCheckpointRecovery:
         assert {det_key(d) for d in got} == {det_key(d) for d in ref}
         assert resumed.stats.as_dict()["batches"] == len(batches)
 
+    def test_recover_equals_uninterrupted_after_relabel(self, tmp_path):
+        """A snapshot cut after a live key is re-sent with another label
+        restores the window that key's node had: edges stay indexed under
+        the node's first label on both sides."""
+        events = single_tenant_events(240, 7)
+        relabeled = [
+            SyscallEvent(e.time, e.syscall, e.src_key, "shell", e.dst_key, e.dst_label)
+            if e.src_label == "proc" and i % 5 == 4
+            else e
+            for i, e in enumerate(events)
+        ]
+        batches = [relabeled[i : i + 16] for i in range(0, len(relabeled), 16)]
+        first = next(i for i, e in enumerate(relabeled) if e.src_label == "shell")
+        crash_at = first // 16 + 1  # the snapshot after the relabel batch
+
+        reference = DetectionService()
+        reference.register_all(make_queries())
+        ref = [d for batch in batches for d in reference.ingest(batch)]
+
+        directory = tmp_path / "ckpt"
+        service = DetectionService()
+        service.register_all(make_queries())
+        durable = CheckpointedService(service, directory, checkpoint_every=1)
+        got = [d for batch in batches[:crash_at] for d in durable.ingest(batch)]
+        del durable
+        resumed, _report = CheckpointedService.recover(directory, checkpoint_every=1)
+        got.extend(d for batch in batches[crash_at:] for d in resumed.ingest(batch))
+        resumed.close()
+        assert {det_key(d) for d in got} == {det_key(d) for d in ref}
+        assert reference.graph.window_columns() == (
+            resumed.service.graph.window_columns()
+        )
+
     def test_fresh_directory_guard(self, tmp_path):
         service = DetectionService()
         service.register_all(make_queries())

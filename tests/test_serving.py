@@ -8,14 +8,16 @@ query span), and under out-of-order batch arrival absorbed by the
 window.
 """
 
+import gc
 import random
 
 import pytest
 
 from repro.core.errors import DatasetError, ServingError
-from repro.core.graph_index import Signature
+from repro.core.graph_index import Signature, find_spans, graph_signature
 from repro.core.pattern import TemporalPattern
 from repro.query.engine import QueryEngine
+from repro.serving.checkpoint import _EVENT_COLUMNS, _events_from_columns
 from repro.serving.registry import (
     BehaviorQuery,
     QueryRegistry,
@@ -25,7 +27,7 @@ from repro.serving.registry import (
 from repro.serving.service import DetectionService
 from repro.serving.streaming import StreamingGraph
 from repro.syscall.collector import build_test_data, iter_event_batches
-from repro.syscall.events import SyscallEvent
+from repro.syscall.events import SyscallEvent, events_to_graph
 
 from conftest import random_embedded_pattern, random_temporal_graph
 
@@ -54,6 +56,12 @@ def event(time, src_key, src_label, dst_key, dst_label):
         dst_key=dst_key,
         dst_label=dst_label,
     )
+
+
+def edge_time(graph, edge_id):
+    """Timestamp of edge ``edge_id``, read from the graph's time column."""
+    base, _src, _dst, times = graph.edge_arrays()
+    return times[edge_id - base]
 
 
 def streamed_spans(service, queries, batches):
@@ -119,13 +127,15 @@ class TestStreamingGraph:
         # surviving global ids unchanged, new id appended
         after = list(stream.edges_between("proc", "file"))
         assert after[-1] == before[-1] + 1 or after == [before[-1] + 1]
-        assert stream.edges[after[-1]].time == 20
+        assert edge_time(stream, after[-1]) == 20
 
-    def test_edges_iterate_live_after_compaction(self):
+    def test_live_columns_after_compaction(self):
         stream = StreamingGraph(window_span=4)
         stream.ingest([event(t, f"p{t}", "proc", f"f{t}", "file") for t in range(10)])
         stream.ingest([event(20, "px", "proc", "fx", "file")])  # evicts + compacts
-        assert [edge.time for edge in stream.edges] == [20]
+        base, _src, _dst, times = stream.edge_arrays()
+        assert list(times[stream.first_live_index - base :]) == [20]
+        assert stream.window_columns()["time"] == [20]
 
     def test_out_of_order_within_batch_is_sorted(self):
         stream = StreamingGraph()
@@ -136,7 +146,7 @@ class TestStreamingGraph:
                 event(3, "e", "E", "f", "F"),
             ]
         )
-        times = [stream.edges[i].time for i in stream.edges_between("A", "B")]
+        times = [edge_time(stream, i) for i in stream.edges_between("A", "B")]
         assert times == [5]
         assert stream.window_bounds() == (1, 5)
 
@@ -181,7 +191,7 @@ class TestStreamingGraph:
             stream.ingest([event(4, "e", "E", "f", "F"), event(9, "g", "G", "h", "H")])
         assert stream.num_edges == 2
         assert stream.window_bounds() == (1, 9)
-        assert [stream.edges[i].time for i in stream.edges_between("C", "D")] == [9]
+        assert [edge_time(stream, i) for i in stream.edges_between("C", "D")] == [9]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ServingError):
@@ -191,6 +201,165 @@ class TestStreamingGraph:
         stream = StreamingGraph()
         delta = stream.ingest([])
         assert delta.empty and stream.num_edges == 0
+
+    def test_window_columns_use_checkpoint_layout(self):
+        stream = StreamingGraph()
+        stream.ingest([event(3, "b", "B", "c", "C"), event(1, "a", "A", "b", "B")])
+        columns = stream.window_columns()
+        assert tuple(columns) == _EVENT_COLUMNS
+        assert columns["time"] == [1, 3]
+        assert stream.window_events() == _events_from_columns(columns)
+        rebuilt = StreamingGraph()
+        rebuilt.ingest(stream.window_events())
+        assert rebuilt.window_columns() == columns
+
+    def test_tables_bounded_by_window(self):
+        """Over 100+ windows of fresh keys and labels, every per-stream
+        table holds only entries some live edge uses."""
+        span = 6
+        rng = random.Random(11)
+        stream = StreamingGraph(window_span=span)
+        events = [
+            event(t, f"s{t}", f"S{t // 3}", f"d{t % 5}x{t // 9}", f"D{t // 4}")
+            for t in range(120 * span)
+        ]
+        peak = 0
+        pos, held = 0, []
+        while pos < len(events) or held:
+            size = rng.randrange(1, 5)
+            batch = events[pos : pos + size] + held
+            pos += size
+            held = [batch.pop()] if len(batch) > 1 and rng.random() < 0.2 else []
+            rng.shuffle(batch)
+            stream.ingest(batch)
+            peak = max(peak, stream.num_edges)
+            columns = stream.window_columns()
+            keys = set(columns["src_key"]) | set(columns["dst_key"])
+            labels = set(columns["src_label"]) | set(columns["dst_label"])
+            pairs = set(zip(columns["src_label"], columns["dst_label"]))
+            sig = stream.signature()
+            assert set(stream._node_of_key) == keys
+            assert {k for k in stream._node_key if k is not None} == keys
+            assert set(stream._label_id) == set(sig.node_labels) == labels
+            assert {x for x in stream._label_str if x is not None} == labels
+            assert set(sig.edge_labels) == pairs
+            assert set(stream._pair_key.values()) == pairs
+            assert len(stream._pair_ids) == len(stream._pair_key) == len(pairs)
+            assert set(stream._pair_dead) <= set(stream._pair_ids)
+            # recycled slots and dead prefixes stay within the window's peak
+            assert len(stream._node_key) <= 2 * peak
+            assert len(stream._label_str) <= 2 * peak
+            assert len(stream._times) <= 2 * peak
+            for pair, count in sig.edge_labels.items():
+                assert len(stream.edges_between(*pair)) <= 2 * count
+        assert stream.stats.evicted > 100 * span
+        assert stream.stats.reinserted
+
+
+# ----------------------------------------------------------------------
+# a live entity key re-sent with another label
+# ----------------------------------------------------------------------
+class TestRelabeledKey:
+    """Edges are indexed under their nodes' labels, as in a frozen log."""
+
+    @staticmethod
+    def assert_index_matches_frozen(stream):
+        frozen = stream.as_temporal_graph()
+        first = stream.first_live_index
+        for (a, b), idxs in frozen.label_pair_index().items():
+            live = [i for i in stream.edges_between(a, b) if i >= first]
+            assert [edge_time(stream, i) for i in live] == [
+                frozen.edges[i].time for i in idxs
+            ]
+        assert stream.signature() == graph_signature(frozen)
+
+    def test_later_ingests_succeed(self):
+        stream = StreamingGraph(window_span=5)
+        stream.ingest([event(0, "x", "X", "p1", "proc")])
+        stream.ingest([event(1, "p1", "proc", "f", "file")])
+        stream.ingest([event(2, "p1", "shell", "f", "file")])
+        self.assert_index_matches_frozen(stream)
+        proc_ids = stream.edges_between("proc", "file")
+        assert [edge_time(stream, i) for i in proc_ids] == [1, 2]
+        assert stream.edges_between("shell", "file") == ()
+        # these evict the relabeled edge: its pair must be found again
+        for t in range(3, 15):
+            stream.ingest([event(t, f"y{t}", "Y", f"z{t}", "Z")])
+            self.assert_index_matches_frozen(stream)
+        assert stream.num_edges == 6
+
+    def test_key_back_after_leaving_window_takes_new_label(self):
+        stream = StreamingGraph(window_span=5)
+        stream.ingest([event(0, "p1", "proc", "f", "file")])
+        stream.ingest([event(10, "p1", "shell", "g", "file")])
+        assert stream.num_edges == 1
+        assert stream.signature().node_labels == {"shell": 1, "file": 1}
+        shell_ids = stream.edges_between("shell", "file")
+        assert [edge_time(stream, i) for i in shell_ids] == [10]
+        self.assert_index_matches_frozen(stream)
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 13])
+    def test_streamed_spans_equal_batch_while_key_live(self, batch_size):
+        rng = random.Random(batch_size)
+        events = []
+        for t in range(80):
+            if t % 2 == 0:
+                # p1 stays live, first seen as proc, then re-sent as either
+                label = "proc" if t == 0 else rng.choice(["proc", "shell"])
+                events.append(event(t, "p1", label, f"f{rng.randrange(3)}", "file"))
+            else:
+                src = f"q{rng.randrange(2)}"
+                events.append(event(t, src, "shell", f"f{rng.randrange(3)}", "file"))
+        queries = [
+            BehaviorQuery("pf", TemporalPattern(("proc", "file"), ((0, 1),)), 6),
+            BehaviorQuery("sf", TemporalPattern(("shell", "file"), ((0, 1),)), 6),
+            BehaviorQuery(
+                "pff",
+                TemporalPattern(("proc", "file", "file"), ((0, 1), (0, 2))),
+                6,
+            ),
+            BehaviorQuery(
+                "sfp",
+                TemporalPattern(("shell", "file", "proc"), ((0, 1), (2, 1))),
+                6,
+            ),
+        ]
+        service = DetectionService()
+        service.register_all(queries)
+        spans = streamed_spans(
+            service, queries, iter_event_batches(events, batch_size)
+        )
+        assert spans == batch_spans(events_to_graph(events), queries)
+        assert spans["pf"] and spans["sfp"]
+
+
+# ----------------------------------------------------------------------
+# the request path leaves nothing for the cyclic collector
+# ----------------------------------------------------------------------
+class TestNoCyclicGarbage:
+    def test_replay_and_find_spans_leave_no_garbage(self, recorded_log):
+        data, queries = recorded_log
+        joined = [q for q in queries if q.pattern.num_edges > 1]
+        assert joined
+        service = DetectionService()
+        service.register_all(queries)
+        batches = list(iter_event_batches(data.events, 16))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for batch in batches:
+                service.ingest(batch)
+            spans = [
+                find_spans(q.pattern, data.graph, max_span=q.max_span) for q in joined
+            ]
+            found = gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert service.stats.detections and any(spans)
+        assert found == 0
+        assert garbage == 0
 
 
 # ----------------------------------------------------------------------
