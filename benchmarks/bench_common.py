@@ -73,8 +73,8 @@ MIN_PARALLEL_SPEEDUP = float(os.environ.get("BENCH_MIN_PARALLEL_SPEEDUP", 1.5))
 #: Events per ingest batch in the serving ablation's stream replay.
 SERVING_BATCH = int(os.environ.get("BENCH_SERVING_BATCH", 200))
 #: Measurement repeats for the serving ablation; the best (minimum) time
-#: per mode is reported, denoising the millisecond-scale smoke runs the
-#: perf-trend gate compares across CI machines.
+#: per mode is reported, and the perf-trend gate's streaming throughput
+#: is the median over repeats, denoising millisecond-scale smoke runs.
 SERVING_REPEATS = int(os.environ.get("BENCH_SERVING_REPEATS", 5))
 #: Speedup incremental ingestion must show over rebuild-per-batch in the
 #: serving ablation (0 disables the floor; the smoke run keeps it on —

@@ -119,13 +119,10 @@ class Workspace:
     ----------
     seed:
         Default RNG seed for :meth:`generate` / :meth:`generate_test`.
-    workers:
-        Default behavior-level fan-out for :meth:`mine`.
     """
 
-    def __init__(self, seed: int = 7, workers: int = 1) -> None:
+    def __init__(self, seed: int = 7) -> None:
         self.seed = seed
-        self.workers = workers
 
     # ------------------------------------------------------------------
     # data
@@ -180,7 +177,7 @@ class Workspace:
         train: TrainingData | None = None,
         behaviors: Sequence[str] | None = None,
         config: MinerConfig | None = None,
-        workers: int | None = None,
+        workers: int = 1,
         seed_workers: int = 1,
         top_k: int = 5,
         slack: float = DEFAULT_SPAN_SLACK,
@@ -225,12 +222,11 @@ class Workspace:
             list(behaviors) if behaviors is not None else list(train.config.behaviors)
         )
         config = config or MinerConfig()
-        effective_workers = self.workers if workers is None else workers
         results = mine_all_behaviors(
             train,
             names,
             config,
-            workers=effective_workers,
+            workers=workers,
             seed_workers=seed_workers,
         )
         interest = InterestModel.fit(train.all_graphs())
@@ -261,7 +257,7 @@ class Workspace:
                 "seed": train.config.seed if train.config.seed >= 0 else None,
                 "instances_per_behavior": train.config.instances_per_behavior,
                 "background_graphs": train.config.background_graphs,
-                "workers": effective_workers,
+                "workers": workers,
                 "seed_workers": seed_workers,
                 "top_k": top_k,
                 "slack": slack,
@@ -274,7 +270,7 @@ class Workspace:
         *,
         behaviors: Sequence[str] | None,
         config: MinerConfig | None,
-        workers: int | None,
+        workers: int,
         seed_workers: int,
         top_k: int,
         slack: float,
@@ -291,12 +287,11 @@ class Workspace:
                     f"no behavior partitions in store {store.path}"
                 )
             config = config or MinerConfig()
-            effective_workers = self.workers if workers is None else workers
             results = mine_all_behaviors_from_store(
                 store,
                 names,
                 config,
-                workers=effective_workers,
+                workers=workers,
                 seed_workers=seed_workers,
                 memory_budget_mb=memory_budget_mb,
             )
@@ -352,7 +347,7 @@ class Workspace:
                     "background_graphs": store.graph_count(
                         BACKGROUND_PARTITION, kind="background"
                     ),
-                    "workers": effective_workers,
+                    "workers": workers,
                     "seed_workers": seed_workers,
                     "top_k": top_k,
                     "slack": slack,
@@ -370,7 +365,6 @@ class Workspace:
         model: BehaviorModel,
         test: TestData | TemporalGraph | None = None,
         behaviors: Sequence[str] | None = None,
-        use_index: bool = True,
         store: CorpusStore | str | Path | None = None,
         log: str | None = None,
         scan_width: int | None = None,
@@ -402,7 +396,6 @@ class Workspace:
                 store,
                 log,
                 behaviors=behaviors,
-                use_index=use_index,
                 scan_width=scan_width,
                 memory_budget_mb=memory_budget_mb,
             )
@@ -410,7 +403,7 @@ class Workspace:
             graph, truth = test.graph, test.instances
         else:
             graph, truth = test, None
-        engine = QueryEngine(graph, use_index=use_index)
+        engine = QueryEngine(graph)
         names = list(behaviors) if behaviors is not None else list(model.behaviors)
         evaluations: dict[str, BehaviorEvaluation] = {}
         for name in names:
@@ -433,7 +426,6 @@ class Workspace:
         log: str,
         *,
         behaviors: Sequence[str] | None,
-        use_index: bool,
         scan_width: int | None,
         memory_budget_mb: float | None,
     ) -> EvaluationReport:
@@ -476,7 +468,7 @@ class Workspace:
                 for _start, window in store.iter_windows(log, width, overlap=cap):
                     if not window.num_edges:
                         continue
-                    engine = QueryEngine(window, use_index=use_index)
+                    engine = QueryEngine(window)
                     for name in names:
                         for query in active[name]:
                             spans_by_behavior[name].update(
@@ -501,7 +493,6 @@ class Workspace:
         model: BehaviorModel,
         window_span: int | None = None,
         behaviors: Sequence[str] | None = None,
-        use_prefilter: bool = True,
         shards: int | None = None,
         registry: ModelRegistry | str | Path | None = None,
         version: int | None = None,
@@ -549,7 +540,6 @@ class Workspace:
             ingestor = DetectionFleet(
                 shards=shards,
                 window_span=window_span,
-                use_prefilter=use_prefilter,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_every=every,
                 **fleet_options,
@@ -565,16 +555,13 @@ class Workspace:
                     model, checkpoint_dir, every,
                     window_span=window_span,
                     behaviors=behaviors,
-                    use_prefilter=use_prefilter,
                 )
                 if registry is not None and not isinstance(registry, ModelRegistry):
                     registry = ModelRegistry(registry)
                 return ServingHandle(
                     ingestor, model=model, registry=registry, version=version
                 )
-            ingestor = DetectionService(
-                window_span=window_span, use_prefilter=use_prefilter
-            )
+            ingestor = DetectionService(window_span=window_span)
         ingestor.register_all(model.queries(behaviors))
         if registry is not None and not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
@@ -588,7 +575,6 @@ class Workspace:
         *,
         window_span: int | None,
         behaviors: Sequence[str] | None,
-        use_prefilter: bool,
     ) -> CheckpointedService:
         """Build (or resume) a durable single-service deployment."""
         from repro.serving.checkpoint import CheckpointStore
@@ -597,9 +583,7 @@ class Workspace:
         slate = model.queries(behaviors)
         probe = CheckpointStore(checkpoint_dir)
         if probe.fresh:
-            service = DetectionService(
-                window_span=window_span, use_prefilter=use_prefilter
-            )
+            service = DetectionService(window_span=window_span)
             service.register_all(slate)
             return CheckpointedService(
                 service, checkpoint_dir,
@@ -609,7 +593,6 @@ class Workspace:
         wrapper, _ = CheckpointedService.recover(
             checkpoint_dir,
             window_span=window_span,
-            use_prefilter=use_prefilter,
             checkpoint_every=checkpoint_every,
         )
         # resume serves the *given* model: hot-reload over the recovered
@@ -630,7 +613,6 @@ class Workspace:
         registry: ModelRegistry | str | Path | None = None,
         window_span: int | None = None,
         behaviors: Sequence[str] | None = None,
-        use_prefilter: bool = True,
         version: int | None = None,
         canary_batches: int | None = None,
         checkpoint_dir: str | Path | None = None,
@@ -653,7 +635,6 @@ class Workspace:
             model,
             window_span=window_span,
             behaviors=behaviors,
-            use_prefilter=use_prefilter,
             registry=registry,
             version=version,
             checkpoint_dir=checkpoint_dir,

@@ -289,13 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the widest registered query span)",
     )
     det.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="use the registry's shared signature prefilter "
-        "(--no-index disables; detections are identical either way)",
-    )
-    det.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -397,13 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="eviction window on the event-time axis "
         "(default: the widest served query span)",
-    )
-    srv.add_argument(
-        "--index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="use the registry's shared signature prefilter "
-        "(--no-index disables; detections are identical either way)",
     )
     srv.add_argument(
         "--checkpoint-dir",
@@ -596,7 +582,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             shards=shards,
             tenant_key=tenant_key_for_separator(args.tenant_key),
             window_span=args.window,
-            use_prefilter=args.index,
             runner=args.runner,
             queue_depth=args.queue_depth,
             checkpoint_dir=args.checkpoint_dir,
@@ -608,9 +593,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
         store = CheckpointStore(args.checkpoint_dir)
         if store.fresh:
-            service = DetectionService(
-                window_span=args.window, use_prefilter=args.index
-            )
+            service = DetectionService(window_span=args.window)
             service.register_all(queries)
             ingestor = CheckpointedService(
                 service, args.checkpoint_dir, checkpoint_every=every, store=store
@@ -620,7 +603,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             ingestor, recovered = CheckpointedService.recover(
                 args.checkpoint_dir,
                 window_span=args.window,
-                use_prefilter=args.index,
                 checkpoint_every=every,
             )
             ingestor.reload(queries)
@@ -630,7 +612,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 f"{args.checkpoint_dir}"
             )
     else:
-        ingestor = DetectionService(window_span=args.window, use_prefilter=args.index)
+        ingestor = DetectionService(window_span=args.window)
         ingestor.register_all(queries)
 
     if args.store is None and (
@@ -806,7 +788,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=int(port_text),
         registry=registry,
         window_span=args.window,
-        use_prefilter=args.index,
         version=version,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,

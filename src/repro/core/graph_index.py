@@ -27,31 +27,33 @@ Two client roles:
   built once and reused, with an optional time-window cap (``max_span``)
   reflecting bounded behavior durations.
 
-Besides the matcher, this module hosts the **candidate-pruning prefilter**
-used across the mining stack: :class:`Signature` summarizes a pattern or
-graph as its node-label multiset plus edge-label-pair multiset, and
-:class:`CandidateFilter` answers "can ``small`` possibly embed in
-``big``?" via multiset containment — a sound necessary condition for any
-injective label-preserving mapping.  Patterns are compared as exact
-bitmasks (:meth:`CandidateFilter.pattern_mask`): the miner stores each
-pattern's mask on its pruning history and tests it inline before every
-subgraph-isomorphism test.  The VF2 matcher seeds its per-node candidate
-lists from the filter's label index, and the query engine rejects
-pattern-vs-log searches whose signature cannot occur in the log at all.
+Besides the matcher, this module hosts the **candidate-pruning
+prefilter** pieces: :class:`Signature` summarizes a pattern or graph as
+its node-label multiset plus edge-label-pair multiset, and containment
+of those multisets (:func:`signature_contains`) is a sound necessary
+condition for any injective label-preserving mapping.  The serving
+registry checks query signatures against the live window's.  The miner
+owns a :class:`CandidateFilter`, which encodes each pattern's signature
+as an exact bitmask (:meth:`CandidateFilter.pattern_mask`): the miner
+stores each pattern's mask on its pruning history and tests it inline
+before every subgraph-isomorphism test, and the VF2 matcher seeds its
+per-node candidate lists from the filter's label index.  A pattern
+label pair absent from the log makes the pattern-vs-log join return
+before it reads any edge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.core.brute import Match
 from repro.core.buffers import active_numpy, as_ndarray
 from repro.core.graph import TemporalGraph
-from repro.core.kernel import EdgeArrays, LabelInterner
+from repro.core.kernel import EdgeArrays
 from repro.core.pattern import TemporalPattern
 
 __all__ = [
@@ -63,7 +65,6 @@ __all__ = [
     "Span",
     "Signature",
     "CandidateFilter",
-    "FilterStats",
     "pattern_signature",
     "graph_signature",
     "signature_contains",
@@ -713,15 +714,6 @@ def match_span(match: Match, graph: "TemporalGraph | EdgeIndexedSource") -> Span
     return (times[match.edge_indexes[0] - base], times[match.edge_indexes[-1] - base])
 
 
-@dataclass
-class GIStats:
-    """Counters for the efficiency experiments (index-build overhead)."""
-
-    tests: int = 0
-    indexes_built: int = 0
-
-
-@dataclass
 class GraphIndexTester:
     """Pattern-vs-pattern tester used by the ``PruneGI`` miner variant.
 
@@ -731,8 +723,6 @@ class GraphIndexTester:
     for ``PruneGI``'s slowdown.
     """
 
-    stats: GIStats = field(default_factory=GIStats)
-
     def contains(self, small: TemporalPattern, big: TemporalPattern) -> bool:
         """Return whether ``small ⊆t big``."""
         return self.mapping(small, big) is not None
@@ -741,11 +731,9 @@ class GraphIndexTester:
         self, small: TemporalPattern, big: TemporalPattern
     ) -> tuple[int, ...] | None:
         """Return a witness node mapping for ``small ⊆t big`` or ``None``."""
-        self.stats.tests += 1
         if small.num_edges > big.num_edges or small.num_nodes > big.num_nodes:
             return None
         big_graph = big.as_temporal_graph()
-        self.stats.indexes_built += 1
         match = next(find_matches(small, big_graph, limit=1), None)
         if match is None:
             return None
@@ -761,12 +749,11 @@ class Signature:
 
     ``node_labels`` counts nodes per label; ``edge_labels`` counts edges
     per ``(src_label, dst_label)`` pair.  Both are plain dicts — the
-    signature is built once per object and only read afterwards.  Keys
-    are label strings at the public API.  :class:`CandidateFilter`
-    re-keys graph signatures to interned int ids (see
-    :class:`~repro.core.kernel.LabelInterner`), which
-    :func:`signature_contains` handles identically, and encodes pattern
-    signatures as exact bitmasks (:meth:`CandidateFilter.pattern_mask`).
+    signature is built once per object and only read afterwards.  The
+    serving registry checks query signatures against the live window's
+    (:meth:`~repro.serving.streaming.StreamingGraph.signature`); the
+    miner compares patterns as exact bitmasks instead
+    (:meth:`CandidateFilter.pattern_mask`).
     """
 
     node_labels: dict[str, int]
@@ -785,7 +772,8 @@ def graph_signature(graph: TemporalGraph) -> Signature:
 
     Reads the per-label-pair edge index built at freeze time, so the cost
     is proportional to the number of distinct labels and label pairs, not
-    the number of edges.
+    the number of edges.  The test oracle for the live window's online
+    signature.
     """
     if not graph.frozen:
         graph.freeze()
@@ -801,7 +789,8 @@ def signature_contains(big: Signature, small: Signature) -> bool:
 
     A necessary condition for ``small ⊆t big`` (and for any injective
     label-preserving node mapping): each node label and each edge label
-    pair must occur in ``big`` at least as often as in ``small``.
+    pair must occur in ``big`` at least as often as in ``small``.  The
+    test oracle for :meth:`CandidateFilter.pattern_mask`.
     """
     big_nodes = big.node_labels
     for label, need in small.node_labels.items():
@@ -814,27 +803,12 @@ def signature_contains(big: Signature, small: Signature) -> bool:
     return True
 
 
-@dataclass
-class FilterStats:
-    """Counters for the index-prefilter ablation."""
-
-    checks: int = 0
-    rejections: int = 0
-
-    def rejection_rate(self) -> float:
-        """Fraction of containment checks answered without any search."""
-        if self.checks == 0:
-            return 0.0
-        return self.rejections / self.checks
-
-
 class CandidateFilter:
-    """Signature cache answering "can ``small`` possibly embed in ``big``?".
+    """The miner's per-run cache of pattern masks and label indexes.
 
-    One filter instance lives per mining run / query engine; it memoizes
-    pattern masks, pattern and graph signatures (patterns are immutable
-    and hashable, graphs are keyed by identity) plus per-pattern
-    label→nodes indexes used to seed VF2 candidate lists.
+    One filter lives per mining run (``MinerConfig.index_prefilter``);
+    it memoizes pattern masks (patterns are immutable and hashable) plus
+    per-pattern label→nodes indexes used to seed VF2 candidate lists.
 
     **Pattern masks.**  :meth:`pattern_mask` encodes a pattern's
     signature as one int: bit ``(label, k)`` is set for every ``k`` up
@@ -843,52 +817,16 @@ class CandidateFilter:
     on first sight, so ``small``'s multisets fit in ``big``'s exactly
     when ``small_mask & ~big_mask == 0`` — the verdict of
     :func:`signature_contains`, not an approximation (Python ints are
-    unbounded) and independent of the order bits were assigned in.
-    :meth:`pattern_vs_pattern` is that test; the miner runs it inline
-    on the masks it keeps in its pruning history.
-
-    Graph pretests (:meth:`pattern_vs_graph`, :meth:`labels_vs_graph`)
-    compare dict signatures re-keyed to dense int ids through the
-    filter's :class:`~repro.core.kernel.LabelInterner`, so the multiset
-    comparison hashes ints instead of strings.  Interning is a bijection
-    within one filter, hence every answer is identical to the
-    string-keyed comparison; the public :meth:`signature_of_pattern` /
-    :meth:`signature_of_graph` accessors keep returning string-keyed
-    signatures.
+    unbounded) and independent of the order bits were assigned in.  The
+    miner runs that test inline on the masks it keeps in its pruning
+    history.
     """
 
     def __init__(self) -> None:
-        self.stats = FilterStats()
-        self._interner = LabelInterner()
-        self._pattern_sigs: dict[TemporalPattern, Signature] = {}
-        self._graph_sigs: dict[int, Signature] = {}
-        self._graph_refs: dict[int, TemporalGraph] = {}
         self._label_nodes: dict[TemporalPattern, dict[str, list[int]]] = {}
         self._pattern_masks: dict[TemporalPattern, int] = {}
         # (label or label pair, k) -> its bit; positions in first-sight order
         self._bits: dict[tuple[object, int], int] = {}
-        # interned twins, memoized by the same keys as the string caches
-        self._pattern_int_sigs: dict[TemporalPattern, Signature] = {}
-        self._graph_int_sigs: dict[int, Signature] = {}
-
-    # -- signature access ------------------------------------------------
-    def signature_of_pattern(self, pattern: TemporalPattern) -> Signature:
-        """Cached label signature of a pattern."""
-        sig = self._pattern_sigs.get(pattern)
-        if sig is None:
-            sig = pattern_signature(pattern)
-            self._pattern_sigs[pattern] = sig
-        return sig
-
-    def signature_of_graph(self, graph: TemporalGraph) -> Signature:
-        """Cached label signature of a graph (keyed by identity)."""
-        key = id(graph)
-        sig = self._graph_sigs.get(key)
-        if sig is None:
-            sig = graph_signature(graph)
-            self._graph_sigs[key] = sig
-            self._graph_refs[key] = graph  # pin identity for the cache key
-        return sig
 
     def label_nodes(self, pattern: TemporalPattern) -> dict[str, list[int]]:
         """Cached label → node-id index of a pattern (VF2 candidate seed)."""
@@ -916,71 +854,3 @@ class CandidateFilter:
                 mask |= bit
             self._pattern_masks[pattern] = mask
         return mask
-
-    # -- interned signatures ---------------------------------------------
-    def _intern_signature(self, sig: Signature) -> Signature:
-        """Re-key a string signature to this filter's interned id space."""
-        intern = self._interner.intern
-        return Signature(
-            {intern(label): count for label, count in sig.node_labels.items()},
-            {
-                (intern(src), intern(dst)): count
-                for (src, dst), count in sig.edge_labels.items()
-            },
-        )
-
-    def _int_sig_of_pattern(self, pattern: TemporalPattern) -> Signature:
-        sig = self._pattern_int_sigs.get(pattern)
-        if sig is None:
-            sig = self._intern_signature(self.signature_of_pattern(pattern))
-            self._pattern_int_sigs[pattern] = sig
-        return sig
-
-    def _int_sig_of_graph(self, graph: TemporalGraph) -> Signature:
-        key = id(graph)
-        sig = self._graph_int_sigs.get(key)
-        if sig is None:
-            sig = self._intern_signature(self.signature_of_graph(graph))
-            self._graph_int_sigs[key] = sig
-        return sig
-
-    # -- containment pretests --------------------------------------------
-    def pattern_vs_pattern(self, small: TemporalPattern, big: TemporalPattern) -> bool:
-        """Whether ``small ⊆t big`` is possible by signature containment."""
-        self.stats.checks += 1
-        if self.pattern_mask(small) & ~self.pattern_mask(big):
-            self.stats.rejections += 1
-            return False
-        return True
-
-    def pattern_vs_graph(self, pattern: TemporalPattern, graph: TemporalGraph) -> bool:
-        """Whether ``pattern`` can possibly match inside ``graph``."""
-        return self._check(
-            self._int_sig_of_graph(graph), self._int_sig_of_pattern(pattern)
-        )
-
-    def labels_vs_graph(
-        self,
-        node_labels: Counter,
-        edge_label_pairs: set[tuple[str, str]],
-        graph: TemporalGraph,
-    ) -> bool:
-        """Order-free pretest for non-temporal queries.
-
-        ``node_labels`` must be coverable multiset-wise (node mappings are
-        injective even without edge order) and every *distinct* edge label
-        pair must occur in the graph; multi-edge counts are deliberately
-        not compared because an order-free match may reuse one data
-        adjacency for several pattern edges.
-        """
-        small = self._intern_signature(
-            Signature(dict(node_labels), {pair: 1 for pair in edge_label_pairs})
-        )
-        return self._check(self._int_sig_of_graph(graph), small)
-
-    def _check(self, big: Signature, small: Signature) -> bool:
-        self.stats.checks += 1
-        ok = signature_contains(big, small)
-        if not ok:
-            self.stats.rejections += 1
-        return ok

@@ -382,15 +382,13 @@ class ParallelMiner:
     multiprocessing start method (``fork`` where available, else
     ``spawn``).
 
-    ``share_memory`` controls corpus distribution for pooled runs:
-    ``None`` (default) publishes the training graphs and seed tables
-    through one read-only shared-memory segment (:mod:`repro.core.shm`)
-    under ``spawn`` — where workers would otherwise each unpickle a
-    private copy — and keeps plain copy-on-write inheritance under
-    ``fork``, where the pool initializer's arguments are never pickled
-    and a segment would only add copies.  ``True``/``False`` force the
-    respective path; either way the mined result is byte-identical
-    (the segment carries the exact frozen columns).
+    Pooled ``spawn`` runs publish the training graphs and seed tables
+    through one read-only shared-memory segment (:mod:`repro.core.shm`),
+    where workers would otherwise each unpickle a private copy.  ``fork``
+    pools keep plain copy-on-write inheritance: the pool initializer's
+    arguments are never pickled there, and a segment would only add
+    copies.  Either way the mined result is byte-identical (the segment
+    carries the exact frozen columns).
     """
 
     def __init__(
@@ -398,7 +396,6 @@ class ParallelMiner:
         config: MinerConfig | None = None,
         workers: int | None = None,
         start_method: str | None = None,
-        share_memory: bool | None = None,
     ) -> None:
         self.config = config or MinerConfig()
         self.config.validate()
@@ -406,7 +403,6 @@ class ParallelMiner:
         if self.workers < 1:
             raise MiningError("workers must be >= 1")
         self.start_method = start_method
-        self.share_memory = share_memory
 
     # ------------------------------------------------------------------
     def mine(
@@ -434,12 +430,10 @@ class ParallelMiner:
         # deadline (workers cannot see each other's clocks), and the
         # parent stops dispatching once the budget is spent, so the
         # wall-clock overshoot is bounded by the in-flight subtrees.
-        use_shm = self.share_memory
-        if use_shm is None:
-            use_shm = (
-                min(self.workers, len(tasks)) > 1
-                and resolve_start_method(self.start_method) == "spawn"
-            )
+        use_shm = (
+            min(self.workers, len(tasks)) > 1
+            and resolve_start_method(self.start_method) == "spawn"
+        )
         handle = None
         try:
             if use_shm:

@@ -20,7 +20,7 @@ The enumeration applies the Appendix J pruning techniques:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.pattern import TemporalPattern
 from repro.core.sequence import encode, label_subsequence
@@ -29,22 +29,12 @@ __all__ = ["SequenceSubgraphTester", "is_temporal_subgraph", "find_mapping"]
 
 
 @dataclass
-class SubgraphTestStats:
-    """Counters exposed for the efficiency experiments (Figure 13)."""
-
-    tests: int = 0
-    label_rejections: int = 0
-    mappings_tried: int = 0
-    prefix_hits: int = 0
-
-
-@dataclass
 class SequenceSubgraphTester:
-    """Reusable tester object carrying statistics counters.
+    """Reusable tester carrying the Appendix J pruning toggles.
 
-    The miner creates one tester per run so that the number of temporal
-    subgraph tests (70M+ in the paper's sshd-login workload) and the work
-    saved by each pruning technique can be reported.
+    The miner creates one tester per run and counts the tests it asks
+    for in :class:`~repro.core.miner.MiningStats` (``subgraph_tests``);
+    the toggles let the ablation benchmark switch each pruning off.
 
     The tester itself runs no label-multiset pretest: with
     ``MinerConfig.index_prefilter`` on, the miner compares the pair's
@@ -56,7 +46,6 @@ class SequenceSubgraphTester:
     use_label_test: bool = True
     use_local_info: bool = True
     use_prefix_pruning: bool = True
-    stats: SubgraphTestStats = field(default_factory=SubgraphTestStats)
 
     # ------------------------------------------------------------------
     def contains(self, small: TemporalPattern, big: TemporalPattern) -> bool:
@@ -71,13 +60,11 @@ class SequenceSubgraphTester:
         The result maps small-pattern node ``i`` to big-pattern node
         ``result[i]``; ``None`` when no temporal subgraph relation exists.
         """
-        self.stats.tests += 1
         if small.num_edges > big.num_edges or small.num_nodes > big.num_nodes:
             return None
         enc_small = encode(small)
         enc_big = encode(big)
         if self.use_label_test and not self._label_pretest(enc_small, enc_big):
-            self.stats.label_rejections += 1
             return None
 
         n_small = small.num_nodes
@@ -117,11 +104,9 @@ class SequenceSubgraphTester:
 
         def search(node: int, enh_from: int) -> bool:
             if node == n_small:
-                self.stats.mappings_tried += 1
                 return edge_test()
             state = (node, enh_from, tuple(assignment[:node]))
             if self.use_prefix_pruning and state in failed_states:
-                self.stats.prefix_hits += 1
                 return False
             label = small_labels[node]
             for pos in range(enh_from, len(enh)):

@@ -28,20 +28,11 @@ filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.pattern import TemporalPattern
 
 __all__ = ["VF2SubgraphTester"]
-
-
-@dataclass
-class VF2Stats:
-    """Counters for the efficiency experiments."""
-
-    tests: int = 0
-    states_visited: int = 0
-    verifications: int = 0
 
 
 @dataclass
@@ -53,7 +44,6 @@ class VF2SubgraphTester:
     """
 
     label_index: object | None = None
-    stats: VF2Stats = field(default_factory=VF2Stats)
 
     def contains(self, small: TemporalPattern, big: TemporalPattern) -> bool:
         """Return whether ``small ⊆t big``."""
@@ -63,7 +53,6 @@ class VF2SubgraphTester:
         self, small: TemporalPattern, big: TemporalPattern
     ) -> tuple[int, ...] | None:
         """Return a witness node mapping for ``small ⊆t big`` or ``None``."""
-        self.stats.tests += 1
         if small.num_edges > big.num_edges or small.num_nodes > big.num_nodes:
             return None
         # Static structures.
@@ -115,7 +104,6 @@ class VF2SubgraphTester:
 
         def verify() -> bool:
             # Greedy order-embedding of small's edge list into big's.
-            self.stats.verifications += 1
             pos = 0
             big_edges = big.edges
             for u, v in small.edges:
@@ -128,7 +116,6 @@ class VF2SubgraphTester:
             return True
 
         def search(depth: int) -> bool:
-            self.stats.states_visited += 1
             if depth == n_small:
                 return verify()
             a = order[depth]

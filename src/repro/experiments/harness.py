@@ -125,7 +125,6 @@ def mine_all_behaviors(
     config: MinerConfig | None = None,
     workers: int | None = 1,
     seed_workers: int = 1,
-    start_method: str | None = None,
 ) -> dict[str, MiningResult]:
     """Mine every behavior of a corpus, fanning runs out across workers.
 
@@ -156,9 +155,9 @@ def mine_all_behaviors(
                 "workers are daemonic and cannot spawn a nested pool"
             )
         return {
-            name: ParallelMiner(
-                config, workers=seed_workers, start_method=start_method
-            ).mine(behavior_map[name], train.background)
+            name: ParallelMiner(config, workers=seed_workers).mine(
+                behavior_map[name], train.background
+            )
             for name in names
         }
     try:
@@ -168,7 +167,6 @@ def mine_all_behaviors(
             workers=workers,
             initializer=_init_behavior_worker,
             initargs=(config, train.background),
-            start_method=start_method,
         )
     finally:
         _clear_fanout_state()
@@ -216,7 +214,6 @@ def mine_all_behaviors_from_store(
     config: MinerConfig | None = None,
     workers: int | None = 1,
     seed_workers: int = 1,
-    start_method: str | None = None,
     memory_budget_mb: float | None = None,
 ) -> dict[str, MiningResult]:
     """:func:`mine_all_behaviors` streaming from a :class:`CorpusStore`.
@@ -251,9 +248,9 @@ def mine_all_behaviors_from_store(
                 )
             background = store.load_graphs(BACKGROUND_PARTITION, kind="background")
             return {
-                name: ParallelMiner(
-                    config, workers=seed_workers, start_method=start_method
-                ).mine(store.load_graphs(name, kind="behavior"), background)
+                name: ParallelMiner(config, workers=seed_workers).mine(
+                    store.load_graphs(name, kind="behavior"), background
+                )
                 for name in names
             }
         try:
@@ -263,7 +260,6 @@ def mine_all_behaviors_from_store(
                 workers=workers,
                 initializer=_init_store_worker,
                 initargs=(config, str(store.path), memory_budget_mb),
-                start_method=start_method,
             )
         finally:
             _clear_store_state()

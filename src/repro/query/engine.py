@@ -18,18 +18,14 @@ semantics of Section 6.2 judge an identified instance by the interval
 during which the match happened, so span-identical matches are one
 instance.
 
-The engine owns a :class:`~repro.core.graph_index.CandidateFilter` over
-the test graph (on by default): temporal and non-temporal searches first
-compare the query's label signature against the graph's — a query whose
-node labels or edge label pairs do not occur often enough in the log
-cannot match anywhere, so the search is answered empty without touching
-the edge index.  Disable with ``QueryEngine(graph, use_index=False)``.
+Temporal and non-temporal searches go straight to the graph's one-edge
+index: a query with an edge label pair that never occurs in the log
+finds an empty candidate list and returns at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from typing import Sequence
 
 from repro.baselines.gspan import (
@@ -39,7 +35,7 @@ from repro.baselines.gspan import (
 from repro.baselines.nodeset import NodeSetQuery
 from repro.core.errors import GraphError, QueryError
 from repro.core.graph import TemporalGraph
-from repro.core.graph_index import CandidateFilter, Span, find_spans
+from repro.core.graph_index import Span, find_spans
 from repro.core.pattern import TemporalPattern
 
 __all__ = ["QueryEngine"]
@@ -49,12 +45,10 @@ class QueryEngine:
     """Searches one (large) monitoring temporal graph.
 
     The engine is built once per test graph; the graph's one-edge index
-    (built at freeze time) and its label signature are shared across all
-    queries.  ``use_index=False`` disables the signature prefilter (the
-    answer sets are identical; only impossible-query searches get slower).
+    (built at freeze time) is shared across all queries.
     """
 
-    def __init__(self, graph: TemporalGraph, use_index: bool = True) -> None:
+    def __init__(self, graph: TemporalGraph) -> None:
         if not graph.frozen:
             try:
                 graph.freeze()
@@ -69,7 +63,6 @@ class QueryEngine:
         # warm the graph's flat edge columns so the span join (and the
         # scans below) never pay a lazy build inside a timed query
         graph.edge_arrays()
-        self.filter = CandidateFilter() if use_index else None
 
     # ------------------------------------------------------------------
     # temporal behavior queries (TGMiner)
@@ -82,10 +75,6 @@ class QueryEngine:
         """
         if max_span < 0:
             raise QueryError("max_span must be non-negative")
-        if self.filter is not None and not self.filter.pattern_vs_graph(
-            pattern, self.graph
-        ):
-            return []
         return sorted(find_spans(pattern, self.graph, max_span=max_span))
 
     def search_query(self, query) -> list[Span]:
@@ -112,18 +101,13 @@ class QueryEngine:
         The search anchors on the pattern's rarest label pair: every
         occurrence of that pair defines a candidate window of width
         ``2 * max_span`` in which the full structure is matched without
-        order constraints.  A match's span is the tightest interval
+        order constraints (a label pair absent from the log leaves no
+        window to search).  A match's span is the tightest interval
         covering one occurrence of every pattern edge (each taken nearest
         to the anchor).
         """
         if pattern.num_edges == 0:
             raise QueryError("empty non-temporal pattern")
-        if self.filter is not None and not self.filter.labels_vs_graph(
-            Counter(pattern.label(n) for n in range(pattern.num_nodes)),
-            {(pattern.label(u), pattern.label(v)) for u, v in pattern.edges},
-            self.graph,
-        ):
-            return []
         anchor_pair = min(
             (
                 (pattern.label(u), pattern.label(v))

@@ -8,8 +8,10 @@ two on-disk artifacts per service directory:
 **Generational snapshots** (``snapshot-<gen>.snap``, gen >= 1): a
 checksummed JSON capture of everything detection output depends on —
 the live window (as replayable event columns, read straight from the
-window's own columns), the query slate, the dedup
-state (``_seen``), the batch clock, and the additive stats counters.
+window's own columns), the query slate, the dedup state (``_seen``),
+the batch clock, and the additive stats counters.  Snapshots from older
+writers also carry a prefilter on/off flag, which recovery ignores: the
+flag never changed detections.
 Snapshots are published atomically (tmp file + ``os.replace`` + fsync),
 and a corrupt snapshot is *detected* (CRC mismatch, truncation, bad
 JSON) and skipped: recovery falls back to the previous generation.
@@ -457,7 +459,6 @@ def _service_to_payload(service: DetectionService, generation: int) -> dict:
         "format": SNAPSHOT_FORMAT_VERSION,
         "generation": generation,
         "window_span": service._explicit_window,
-        "use_prefilter": service.use_prefilter,
         "reloads": service.reloads,
         "queries": [query_to_dict(query) for _id, query in service.registry],
         "window_columns": service.graph.window_columns(),
@@ -477,9 +478,11 @@ def _service_from_payload(
     faults: FaultPlan | None = None,
     fault_scope: dict | None = None,
 ) -> DetectionService:
+    # snapshots written before the prefilter became unconditional also
+    # carry its on/off flag; the flag never changed detections, so the
+    # reader ignores it
     service = DetectionService(
         window_span=payload["window_span"],
-        use_prefilter=payload["use_prefilter"],
         faults=faults,
         fault_scope=fault_scope,
     )
@@ -513,7 +516,6 @@ def recover_service(
     *,
     queries: Sequence[BehaviorQuery] | None = None,
     window_span: int | None = None,
-    use_prefilter: bool = True,
     faults: FaultPlan | None = None,
     fault_scope: dict | None = None,
 ) -> RecoveredService:
@@ -521,8 +523,8 @@ def recover_service(
 
     Restores the newest snapshot whose checksum verifies (falling back
     across corrupt generations, down to a fresh service built from the
-    ``queries``/``window_span``/``use_prefilter`` arguments when no
-    snapshot survives), then replays every WAL generation from the
+    ``queries``/``window_span`` arguments when no snapshot survives),
+    then replays every WAL generation from the
     restored one forward, in order.  Torn WAL tails are truncated and
     counted; a replayed batch the service rejects (e.g. a timestamp
     collision the original ingest also rejected) is skipped and counted
@@ -553,7 +555,6 @@ def recover_service(
     if restored is None:
         restored = DetectionService(
             window_span=window_span,
-            use_prefilter=use_prefilter,
             faults=faults,
             fault_scope=fault_scope,
         )
@@ -657,7 +658,6 @@ class CheckpointedService:
         *,
         queries: Sequence[BehaviorQuery] | None = None,
         window_span: int | None = None,
-        use_prefilter: bool = True,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         faults: FaultPlan | None = None,
     ) -> tuple["CheckpointedService", RecoveredService]:
@@ -666,7 +666,6 @@ class CheckpointedService:
             directory,
             queries=queries,
             window_span=window_span,
-            use_prefilter=use_prefilter,
             faults=faults,
         )
         wrapper = cls(
@@ -719,10 +718,6 @@ class CheckpointedService:
     @property
     def window_span(self) -> int | None:
         return self.service.window_span
-
-    @property
-    def use_prefilter(self) -> bool:
-        return self.service.use_prefilter
 
     @property
     def reloads(self) -> int:

@@ -420,7 +420,6 @@ class _ShardState:
         self,
         queries: Sequence[BehaviorQuery],
         window_span: int | None,
-        use_prefilter: bool,
         *,
         shard_id: int = 0,
         checkpoint_dir: str | None = None,
@@ -430,7 +429,6 @@ class _ShardState:
     ) -> None:
         self._queries = list(queries)
         self._window_span = window_span
-        self._use_prefilter = use_prefilter
         self._shard_id = shard_id
         self._checkpoint_dir = checkpoint_dir
         self._checkpoint_every = checkpoint_every
@@ -470,7 +468,6 @@ class _ShardState:
                 child,
                 queries=self._queries,
                 window_span=self._window_span,
-                use_prefilter=self._use_prefilter,
                 faults=self._faults,
                 fault_scope=self._scope(tenant),
             )
@@ -489,7 +486,6 @@ class _ShardState:
         if service is None:
             service = DetectionService(
                 window_span=self._window_span,
-                use_prefilter=self._use_prefilter,
                 faults=self._faults,
                 fault_scope=self._scope(tenant),
             )
@@ -581,7 +577,6 @@ def _shard_worker(
     out_queue,
     blob: BlobDescriptor,
     window_span: int | None,
-    use_prefilter: bool,
     checkpoint_dir: str | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     faults: FaultPlan | None = None,
@@ -607,7 +602,6 @@ def _shard_worker(
         state = _ShardState(
             queries,
             window_span,
-            use_prefilter,
             shard_id=shard_id,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
@@ -683,9 +677,9 @@ class DetectionFleet:
         ``event -> tenant id`` routing function; defaults to the
         ``src_key`` prefix before ``"|"`` (untagged events all map to
         :data:`DEFAULT_TENANT`).
-    window_span / use_prefilter:
+    window_span:
         Forwarded to every per-tenant :class:`DetectionService` — the
-        same values a serial per-tenant deployment would use, keeping
+        same value a serial per-tenant deployment would use, keeping
         the union-identity contract exact.
     runner:
         ``"inline"`` (in-process shards) or ``"process"`` (one worker
@@ -733,7 +727,6 @@ class DetectionFleet:
         *,
         tenant_key: Callable[[SyscallEvent], str] | None = None,
         window_span: int | None = None,
-        use_prefilter: bool = True,
         runner: str = "inline",
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         start_method: str | None = None,
@@ -763,7 +756,6 @@ class DetectionFleet:
             raise ServingError("result_timeout must be > 0")
         self.num_shards = shards
         self.window_span = window_span
-        self.use_prefilter = use_prefilter
         self.runner = runner
         self._tenant_key = tenant_key or default_tenant_key
         self._assign = assign or shard_for_tenant
@@ -896,7 +888,6 @@ class DetectionFleet:
                 _ShardState(
                     self._queries,
                     self.window_span,
-                    self.use_prefilter,
                     shard_id=shard_id,
                     checkpoint_dir=self._shard_dir(shard_id),
                     checkpoint_every=self._checkpoint_every,
@@ -950,7 +941,6 @@ class DetectionFleet:
                 result_queue,
                 self._blob,
                 self.window_span,
-                self.use_prefilter,
                 self._shard_dir(shard_id),
                 self._checkpoint_every,
                 self._faults,

@@ -345,7 +345,7 @@ class DetectionServer:
                     "canary comparison requires a single DetectionService "
                     f"deployment, not {type(primary).__name__}",
                 )
-            shadow = DetectionService(use_prefilter=primary.use_prefilter)
+            shadow = DetectionService()
             shadow.register_all(candidate.queries())
             window = primary.graph.window_events()
             if window:

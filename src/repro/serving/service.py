@@ -6,8 +6,10 @@
 :meth:`~DetectionService.ingest` call appends one event batch, runs the
 registry's one-pass signature prefilter against the window's online
 signature, and evaluates only the surviving queries — and only against
-the newly-ingested delta.  Incrementality comes from the shared matching
-core's span join (:func:`repro.core.graph_index.find_spans`):
+the newly-ingested delta.  The prefilter is sound: the survivors detect
+exactly what evaluating every query would.  Incrementality comes from
+the shared matching core's span join
+(:func:`repro.core.graph_index.find_spans`):
 
 * ``min_last_index`` pins every reported span's *last* edge into the
   batch delta, so spans already reported by earlier batches are never
@@ -295,9 +297,6 @@ class DetectionService:
         window that keeps streaming detections span-identical to the
         batch engine.  An explicit window must cover every registered
         query's ``max_span``.
-    use_prefilter:
-        Toggle the registry's shared signature prefilter (detections are
-        identical either way; only impossible-query passes get slower).
     faults / fault_scope:
         Optional deterministic fault injection
         (:class:`~repro.core.faults.FaultPlan`): the ``service.slow_batch``
@@ -309,13 +308,11 @@ class DetectionService:
     def __init__(
         self,
         window_span: int | None = None,
-        use_prefilter: bool = True,
         faults: "FaultPlan | None" = None,
         fault_scope: dict | None = None,
     ) -> None:
         self.registry = QueryRegistry()
         self.graph = StreamingGraph()
-        self.use_prefilter = use_prefilter
         self.stats = ServiceStats()
         self.reloads = 0
         self.faults = faults
@@ -330,7 +327,6 @@ class DetectionService:
         *,
         queries: "Sequence[BehaviorQuery] | None" = None,
         window_span: int | None = None,
-        use_prefilter: bool = True,
     ) -> "DetectionService":
         """Rebuild a service from a checkpoint directory.
 
@@ -344,10 +340,7 @@ class DetectionService:
         from repro.serving.checkpoint import recover_service
 
         return recover_service(
-            directory,
-            queries=queries,
-            window_span=window_span,
-            use_prefilter=use_prefilter,
+            directory, queries=queries, window_span=window_span
         ).service
 
     # ------------------------------------------------------------------
@@ -484,10 +477,7 @@ class DetectionService:
             self.stats.record_batch(_time.perf_counter() - started)
             return []
 
-        if self.use_prefilter:
-            survivors = self.registry.survivors(self.graph.signature())
-        else:
-            survivors = list(self.registry)
+        survivors = self.registry.survivors(self.graph.signature())
         self.stats.queries_prefiltered += len(self.registry) - len(survivors)
         self.stats.queries_evaluated += len(survivors)
 

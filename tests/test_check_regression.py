@@ -21,9 +21,10 @@ def write_result(directory, name, payload):
     (directory / name).write_text(json.dumps(payload))
 
 
-def serving(speedup=2.0, identical=True, **extra):
+def serving(events_per_probe=2.0, identical=True, **extra):
     return {
-        "speedup": speedup,
+        "events_per_probe": events_per_probe,
+        "speedup": 2.0,
         "identical": identical,
         "events_per_second": 100_000.0,
         "latency_p95_ms": 1.0,
@@ -48,23 +49,25 @@ def dirs(tmp_path):
 class TestCompare:
     def test_within_band_passes(self, dirs):
         current, baselines = dirs
-        write_result(baselines, "BENCH_serving.json", serving(speedup=2.0))
-        write_result(current, "BENCH_serving.json", serving(speedup=1.8))
+        write_result(baselines, "BENCH_serving.json", serving(events_per_probe=2.0))
+        write_result(current, "BENCH_serving.json", serving(events_per_probe=1.8))
         code, _lines = check_regression.compare(current, baselines)
         assert code == check_regression.OK
 
     def test_slowdown_beyond_band_fails(self, dirs):
         current, baselines = dirs
-        write_result(baselines, "BENCH_serving.json", serving(speedup=2.0))
-        write_result(current, "BENCH_serving.json", serving(speedup=1.4))
+        write_result(baselines, "BENCH_serving.json", serving(events_per_probe=2.0))
+        write_result(current, "BENCH_serving.json", serving(events_per_probe=1.4))
         code, lines = check_regression.compare(current, baselines)
         assert code == check_regression.REGRESSION
-        assert any("REGRESSION" in line and "speedup" in line for line in lines)
+        assert any(
+            "REGRESSION" in line and "events_per_probe" in line for line in lines
+        )
 
     def test_unreported_speedup_flags_refresh(self, dirs):
         current, baselines = dirs
-        write_result(baselines, "BENCH_serving.json", serving(speedup=2.0))
-        write_result(current, "BENCH_serving.json", serving(speedup=2.6))
+        write_result(baselines, "BENCH_serving.json", serving(events_per_probe=2.0))
+        write_result(current, "BENCH_serving.json", serving(events_per_probe=2.6))
         code, lines = check_regression.compare(current, baselines)
         assert code == check_regression.REFRESH_NEEDED
         assert any("--write" in line for line in lines)
@@ -117,8 +120,8 @@ class TestCompare:
     def test_regression_outranks_refresh_request(self, dirs):
         """A slowdown in one file + a speedup in another is a REGRESSION."""
         current, baselines = dirs
-        write_result(baselines, "BENCH_serving.json", serving(speedup=2.0))
-        write_result(current, "BENCH_serving.json", serving(speedup=1.0))
+        write_result(baselines, "BENCH_serving.json", serving(events_per_probe=2.0))
+        write_result(current, "BENCH_serving.json", serving(events_per_probe=1.0))
         write_result(
             baselines, "BENCH_parallel.json", parallel(enforced=True, seed=1.0)
         )
@@ -159,6 +162,20 @@ class TestCompare:
         assert code == check_regression.REGRESSION
 
 
+    def test_rebuild_speedup_informational(self, dirs):
+        current, baselines = dirs
+        write_result(baselines, "BENCH_serving.json", serving())
+        # the rebuild ratio collapses, but only the streaming path's own
+        # throughput is gated
+        write_result(current, "BENCH_serving.json", serving(speedup=0.5))
+        for include_absolute in (False, True):
+            code, lines = check_regression.compare(
+                current, baselines, include_absolute=include_absolute
+            )
+            assert code == check_regression.OK
+            assert any(line.startswith("INFO") and "speedup" in line for line in lines)
+
+
 class TestMain:
     def test_write_then_gate_roundtrip(self, dirs):
         current, baselines = dirs
@@ -179,8 +196,8 @@ class TestMain:
 
     def test_report_only_never_fails(self, dirs):
         current, baselines = dirs
-        write_result(baselines, "BENCH_serving.json", serving(speedup=2.0))
-        write_result(current, "BENCH_serving.json", serving(speedup=0.5))
+        write_result(baselines, "BENCH_serving.json", serving(events_per_probe=2.0))
+        write_result(current, "BENCH_serving.json", serving(events_per_probe=0.5))
         assert (
             check_regression.main(
                 [

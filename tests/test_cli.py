@@ -302,6 +302,20 @@ class TestDetect:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "--queries", "q.jsonl"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--queries", "q.jsonl", "--instances", "4"],
+            ["serve", "--http", "127.0.0.1:0", "--model", "m.tgm"],
+        ],
+        ids=["detect", "serve"],
+    )
+    def test_registry_prefilter_has_no_switch(self, argv):
+        build_parser().parse_args(argv)
+        for flag in ("--index", "--no-index"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, flag])
+
 
 class TestVersionFlag:
     def test_version_prints_package_version(self, capsys):

@@ -7,6 +7,7 @@ count, on every bundled workload — including graphs whose concurrent
 edges were sequentialized with the ``random`` policy under a fixed seed.
 """
 
+import dataclasses
 import os
 import time
 
@@ -282,6 +283,19 @@ def _shm_entries():
         return set()
 
 
+def _count_publishes(monkeypatch):
+    """Record one ``True`` per corpus segment the parallel miner publishes."""
+    published = []
+    real_publish = parallel.publish_corpus
+
+    def counting_publish(*args, **kwargs):
+        published.append(True)
+        return real_publish(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "publish_corpus", counting_publish)
+    return published
+
+
 class TestSharedMemoryCorpus:
     """Lifecycle and identity contract of the zero-copy corpus segment."""
 
@@ -338,51 +352,58 @@ class TestSharedMemoryCorpus:
         handle.unlink()  # second call must be a no-op
         assert _shm_entries() <= before
 
-    @pytest.mark.parametrize("start_method", ["spawn", "fork"])
-    def test_shared_mining_identical_to_serial(self, start_method):
+    def test_shared_mining_identical_to_serial(self, monkeypatch):
         positives, negatives = self._corpus()
         config = MinerConfig(max_edges=3, min_pos_support=0.5)
         expected = mining_fingerprint(TGMiner(config).mine(positives, negatives))
+        published = _count_publishes(monkeypatch)
         before = _shm_entries()
         for workers in (1, 2, 4):
             result = ParallelMiner(
-                config,
-                workers=workers,
-                start_method=start_method,
-                share_memory=True,
+                config, workers=workers, start_method="spawn"
             ).mine(positives, negatives)
-            assert mining_fingerprint(result) == expected, (
-                f"workers={workers} method={start_method}"
-            )
+            assert mining_fingerprint(result) == expected, f"workers={workers}"
+        # the two pooled runs mined over the segment; the inline one not
+        assert published == [True, True]
         assert _shm_entries() <= before, "leaked shared-memory segments"
 
     def test_segment_unlinked_after_worker_crash(self, monkeypatch):
-        # fork inherits the monkeypatched worker state, so the crash
-        # happens inside a real pool worker mid-map
+        # a spawned worker inherits no monkeypatch, so the crash rides
+        # in on the descriptor: every seed's embedding triples point
+        # past the segment's end, and the first seed table a pool
+        # worker reads from its attached corpus raises mid-map (the
+        # graphs must still attach: a failing pool initializer makes
+        # multiprocessing respawn workers forever instead of raising)
         positives, negatives = self._corpus()
         config = MinerConfig(max_edges=3, min_pos_support=0.5)
-        before = _shm_entries()
+        segments = []
+        real_publish = parallel.publish_corpus
 
-        def explode(self, seed):
-            raise RuntimeError("worker crashed mid-seed")
+        def corrupt_publish(*args, **kwargs):
+            descriptor, handle = real_publish(*args, **kwargs)
+            segments.append(descriptor.shm_name.lstrip("/"))
+            past_end = {
+                key: tuple(
+                    (gid, descriptor.total_words, count)
+                    for gid, _offset, count in entries
+                )
+                for key, entries in descriptor.seeds.items()
+            }
+            return dataclasses.replace(descriptor, seeds=past_end), handle
 
-        monkeypatch.setattr(parallel._WorkerState, "mine_seed", explode)
-        miner = ParallelMiner(config, workers=2, start_method="fork", share_memory=True)
-        with pytest.raises(RuntimeError, match="worker crashed"):
+        monkeypatch.setattr(parallel, "publish_corpus", corrupt_publish)
+        miner = ParallelMiner(config, workers=2, start_method="spawn")
+        with pytest.raises(IndexError):
             miner.mine(positives, negatives)
-        assert _shm_entries() <= before, "crash leaked a segment"
+        # the pool's own semaphores may outlive a terminated spawn pool
+        # for a moment; the corpus segment must be gone at once
+        assert len(segments) == 1
+        assert segments[0] not in _shm_entries(), "crash leaked a segment"
 
     def test_auto_policy_publishes_only_for_pooled_spawn(self, monkeypatch):
         positives, negatives = self._corpus()
         config = MinerConfig(max_edges=2, min_pos_support=0.5)
-        published = []
-        real_publish = parallel.publish_corpus
-
-        def counting_publish(*args, **kwargs):
-            published.append(True)
-            return real_publish(*args, **kwargs)
-
-        monkeypatch.setattr(parallel, "publish_corpus", counting_publish)
+        published = _count_publishes(monkeypatch)
         # fork: copy-on-write inheritance, a segment would only add copies
         ParallelMiner(config, workers=2, start_method="fork").mine(positives, negatives)
         assert not published

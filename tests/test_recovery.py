@@ -349,6 +349,41 @@ class TestCheckpointRecovery:
                                     in service._seen.items() for s in spans}
         assert expected is not None
 
+    def test_snapshot_with_prefilter_flag_recovers(self, tmp_path):
+        """Snapshots from writers that could switch the registry
+        prefilter off carry a ``use_prefilter`` key; recovery ignores
+        it, runs the prefilter, and stays span-identical."""
+        slate = make_queries() + [
+            BehaviorQuery("absent", TemporalPattern(("zz", "yy"), ((0, 1),)), 6)
+        ]
+        events = single_tenant_events(200, 19)
+        batches = [events[i : i + 16] for i in range(0, len(events), 16)]
+        reference = DetectionService()
+        reference.register_all(slate)
+        ref = [d for batch in batches for d in reference.ingest(batch)]
+
+        directory = tmp_path / "ckpt"
+        service = DetectionService()
+        service.register_all(slate)
+        durable = CheckpointedService(service, directory, checkpoint_every=2)
+        crash_at = 7
+        got = [d for batch in batches[:crash_at] for d in durable.ingest(batch)]
+        del durable
+        store = CheckpointStore(directory)
+        for gen in store.snapshot_generations():
+            payload = store.load_snapshot(gen)
+            payload["use_prefilter"] = False
+            payload["stats"]["queries_prefiltered"] = 0
+            write_framed(store.snapshot_path(gen), [payload])
+        store.close()
+
+        resumed, report = CheckpointedService.recover(directory, checkpoint_every=2)
+        assert report.corrupt_snapshots == 0
+        got.extend(d for batch in batches[crash_at:] for d in resumed.ingest(batch))
+        resumed.close()
+        assert {det_key(d) for d in got} == {det_key(d) for d in ref}
+        assert resumed.stats.queries_prefiltered >= len(batches) - crash_at
+
 
 def write_framed(path, payloads):
     """Write ``payloads`` as checksum-valid frames (the on-disk format)."""

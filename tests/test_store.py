@@ -401,15 +401,6 @@ class TestQueryIdentity:
         for name in batch.behaviors:
             assert stored.behaviors[name].spans == batch.behaviors[name].spans
 
-    def test_store_query_without_prefilter_matches(self, setup):
-        ws, model, test, path = setup
-        batch = ws.query(model, test.graph, use_index=False)
-        stored = ws.query(
-            model, store=path, log="monitor", use_index=False
-        )
-        for name in batch.behaviors:
-            assert stored.behaviors[name].spans == batch.behaviors[name].spans
-
     def test_narrow_scan_width_rejected(self, setup):
         ws, model, _test, path = setup
         cap = max(q.max_span for q in model.queries(["sshd-login"]))

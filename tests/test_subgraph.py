@@ -130,10 +130,9 @@ class TestAppendixJPruningToggles:
             assert tester.contains(other, big) == reference.contains(other, big)
 
     def test_label_rejection_counter(self):
+        """A pattern label the big graph lacks yields no mapping."""
         tester = self.make()
-        tester.contains(p(("Z", "Z"), ((0, 1),)), BIG)
-        assert tester.stats.label_rejections == 1
-        assert tester.stats.tests == 1
+        assert tester.mapping(p(("Z", "Z"), ((0, 1),)), BIG) is None
 
 
 class TestAgainstBruteForce:
