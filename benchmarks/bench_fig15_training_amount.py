@@ -4,6 +4,7 @@ Expected shape (paper): response time grows roughly linearly with the
 fraction of training data used.
 """
 
+import gc
 import time
 
 from repro.core.miner import MinerConfig
@@ -20,6 +21,11 @@ def test_fig15_response_time_vs_training_amount(benchmark, train):
         table = {}
         for fraction in FRACTIONS:
             subset = train.subset(fraction)
+            # start every timed run from an empty collector state: a full
+            # collection of garbage left by earlier benchmarks in the same
+            # pytest run (~85 ms over their fixtures) otherwise lands in
+            # whichever fraction happens to trigger it
+            gc.collect()
             started = time.perf_counter()
             mine_behavior(
                 subset,

@@ -30,12 +30,19 @@ on the same corpus:
   across runner hardware), and the windowed-scan vs
   materialize-and-batch-query ratio over the stored log.
 
+The two pipelines run ``STORE_REPEATS`` times each, alternating which
+goes first, and the gated ``store_efficiency`` is the median of the
+per-repeat in-memory/store mining-time ratios: one pair of ~5 s runs
+read anywhere in 0.66–1.30 on a shared 2-vCPU host with the code
+unchanged.  Identity and the residency bound must hold on every repeat.
+
 Results land in ``BENCH_store.json`` for the CI perf-trend gate
 (``benchmarks/check_regression.py``).
 """
 
 import multiprocessing
 import resource
+import statistics
 import time
 from dataclasses import replace
 
@@ -63,6 +70,10 @@ from benchmarks.bench_common import (
 )
 
 CONFIG = MinerConfig(max_edges=STORE_MAX_EDGES, max_seconds=MINING_SECONDS)
+
+#: Runs of each pipeline per benchmark; the gate reads the median of the
+#: per-repeat mining-time ratios.  Odd, so the median is one repeat's.
+STORE_REPEATS = 5
 
 
 def _rss_mb() -> float:
@@ -265,32 +276,65 @@ def test_store_mining_and_query(benchmark, test_data, tmp_path):
         build_seconds = time.perf_counter() - started
         del log_graph
 
-        # --- residency + identity: each pipeline in a spawned process
-        inmem = _run_child(_inmem_pipeline, store_path)
-        budget_mb = max(1.0, inmem["rss_delta_mb"] / 4)
-        stored = _run_child(_store_pipeline, store_path, budget_mb)
-        return graphs, info, build_seconds, inmem, budget_mb, stored
+        # --- residency + identity: each pipeline in a spawned process,
+        # alternating which runs first so a host-speed drift slows both
+        # sides of a pair; the first in-memory peak sets the budget
+        pairs = []
+        budget_mb = None
+        for repeat in range(STORE_REPEATS):
+            if repeat % 2 == 0:
+                inmem = _run_child(_inmem_pipeline, store_path)
+                if budget_mb is None:
+                    budget_mb = max(1.0, inmem["rss_delta_mb"] / 4)
+                stored = _run_child(_store_pipeline, store_path, budget_mb)
+            else:
+                stored = _run_child(_store_pipeline, store_path, budget_mb)
+                inmem = _run_child(_inmem_pipeline, store_path)
+            pairs.append((inmem, stored))
+        return graphs, info, build_seconds, pairs, budget_mb
 
-    graphs, info, build_seconds, inmem, budget_mb, stored = once(benchmark, run)
+    graphs, info, build_seconds, pairs, budget_mb = once(benchmark, run)
 
-    batch_seconds = inmem["query_seconds"]
-    scan_seconds = stored["query_seconds"]
-    identical = (
+    def median_of(side: int, key: str) -> float:
+        return statistics.median(pair[side][key] for pair in pairs)
+
+    identical = all(
         stored["spans"] == inmem["spans"]
         and stored["fingerprint"] == inmem["fingerprint"]
+        for inmem, stored in pairs
     )
-    rss_enforced = (
+    rss_measured = all(
+        inmem["rss_measured"] and stored["rss_measured"] for inmem, stored in pairs
+    )
+    # the bound is checked per repeat, wherever that repeat's in-memory
+    # peak reached the floor; the worst streaming peak is the one reported
+    rss_checked = [
         STORE_RSS_FLOOR_MB > 0
         and inmem["rss_measured"]
         and stored["rss_measured"]
         and inmem["rss_delta_mb"] >= STORE_RSS_FLOOR_MB
+        for inmem, stored in pairs
+    ]
+    rss_enforced = any(rss_checked)
+    rss_bounded = all(
+        not checked or stored["rss_delta_mb"] <= budget_mb
+        for checked, (_inmem, stored) in zip(rss_checked, pairs)
     )
-    rss_bounded = (not rss_enforced) or stored["rss_delta_mb"] <= budget_mb
+    inmem_rss_mb = median_of(0, "rss_delta_mb")
+    store_rss_mb = max(stored["rss_delta_mb"] for _inmem, stored in pairs)
     # a streaming peak below a quarter MB is allocator noise — floor the
     # denominator so the reported ratio stays meaningful
-    rss_ratio = inmem["rss_delta_mb"] / max(stored["rss_delta_mb"], 0.25)
-    efficiency_enforced = inmem["mine_seconds"] >= STORE_EFFICIENCY_FLOOR
-    store_efficiency = inmem["mine_seconds"] / max(stored["mine_seconds"], 1e-9)
+    rss_ratio = inmem_rss_mb / max(median_of(1, "rss_delta_mb"), 0.25)
+    inmem_mine_seconds = median_of(0, "mine_seconds")
+    store_mine_seconds = median_of(1, "mine_seconds")
+    efficiency_enforced = inmem_mine_seconds >= STORE_EFFICIENCY_FLOOR
+    efficiency_ratios = [
+        inmem["mine_seconds"] / max(stored["mine_seconds"], 1e-9)
+        for inmem, stored in pairs
+    ]
+    store_efficiency = statistics.median(efficiency_ratios)
+    batch_seconds = median_of(0, "query_seconds")
+    scan_seconds = median_of(1, "query_seconds")
     build_edges_per_second = info["edges"] / max(build_seconds, 1e-9)
     scan_ratio = batch_seconds / max(scan_seconds, 1e-9)
 
@@ -303,30 +347,34 @@ def test_store_mining_and_query(benchmark, test_data, tmp_path):
         f"{STORE_PAGE_EDGES} edges/page, x{STORE_REPLICAS} replicas, "
         f"{STORE_DAYS}-day log)"
     )
-    emit(f"{'pipeline':22s} {'corpus RSS':>10s} {'mining':>9s} {'query':>9s}")
     emit(
-        f"{'in-memory (full load)':22s} {inmem['rss_delta_mb']:8.1f}MB "
-        f"{inmem['mine_seconds']:8.2f}s {batch_seconds:8.2f}s"
+        f"{'pipeline':22s} {'corpus RSS':>10s} {'mining':>9s} {'query':>9s}"
+        f"   (medians of {STORE_REPEATS} repeats; store RSS is the worst)"
     )
     emit(
-        f"{'store (streaming)':22s} {stored['rss_delta_mb']:8.1f}MB "
-        f"{stored['mine_seconds']:8.2f}s {scan_seconds:8.2f}s"
+        f"{'in-memory (full load)':22s} {inmem_rss_mb:8.1f}MB "
+        f"{inmem_mine_seconds:8.2f}s {batch_seconds:8.2f}s"
+    )
+    emit(
+        f"{'store (streaming)':22s} {store_rss_mb:8.1f}MB "
+        f"{store_mine_seconds:8.2f}s {scan_seconds:8.2f}s"
     )
     if rss_enforced:
         rss_status = "enforced"
-    elif not (inmem["rss_measured"] and stored["rss_measured"]):
+    elif not rss_measured:
         rss_status = "informational: no /proc peak-RSS window on this host"
     else:
         rss_status = (
-            f"informational: in-memory peak {inmem['rss_delta_mb']:.1f}MB < "
+            f"informational: in-memory peak {inmem_rss_mb:.1f}MB < "
             f"{STORE_RSS_FLOOR_MB:.0f}MB floor"
         )
+    per_repeat = ", ".join(f"{ratio:.2f}" for ratio in efficiency_ratios)
     emit(
         f"budget {budget_mb:.1f}MB (in-memory/4, {rss_status}); "
         f"residency ratio {rss_ratio:.1f}x; mining efficiency "
-        f"{store_efficiency:.2f}x; windowed scan {scan_seconds:.2f}s vs "
-        f"materialize+batch {batch_seconds:.2f}s (ratio {scan_ratio:.2f}); "
-        f"identical={identical}"
+        f"{store_efficiency:.2f}x (median of {per_repeat}); windowed scan "
+        f"{scan_seconds:.2f}s vs materialize+batch {batch_seconds:.2f}s "
+        f"(ratio {scan_ratio:.2f}); identical={identical}"
     )
 
     write_json(
@@ -342,17 +390,17 @@ def test_store_mining_and_query(benchmark, test_data, tmp_path):
             "test_instances": TEST_INSTANCES,
             "build_seconds": build_seconds,
             "build_edges_per_second": build_edges_per_second,
-            "inmem_rss_mb": inmem["rss_delta_mb"],
-            "store_rss_mb": stored["rss_delta_mb"],
+            "repeats": STORE_REPEATS,
+            "inmem_rss_mb": inmem_rss_mb,
+            "store_rss_mb": store_rss_mb,
             "budget_mb": budget_mb,
             "rss_ratio": rss_ratio,
-            "rss_measured": bool(
-                inmem["rss_measured"] and stored["rss_measured"]
-            ),
+            "rss_measured": rss_measured,
             "rss_enforced": rss_enforced,
             "rss_bounded": rss_bounded,
-            "inmem_mine_seconds": inmem["mine_seconds"],
-            "store_mine_seconds": stored["mine_seconds"],
+            "inmem_mine_seconds": inmem_mine_seconds,
+            "store_mine_seconds": store_mine_seconds,
+            "efficiency_ratios": efficiency_ratios,
             "store_efficiency": store_efficiency,
             "efficiency_enforced": efficiency_enforced,
             "batch_query_seconds": batch_seconds,
@@ -366,7 +414,7 @@ def test_store_mining_and_query(benchmark, test_data, tmp_path):
     )
     if rss_enforced:
         assert rss_bounded, (
-            f"streaming pipeline peaked at {stored['rss_delta_mb']:.1f}MB, "
+            f"streaming pipeline peaked at {store_rss_mb:.1f}MB, "
             f"over the {budget_mb:.1f}MB budget (in-memory peak "
-            f"{inmem['rss_delta_mb']:.1f}MB)"
+            f"{inmem_rss_mb:.1f}MB)"
         )

@@ -110,8 +110,9 @@ METRICS = [
     # the disk-backed corpus store: mined patterns and detection spans
     # must match the in-memory path exactly; the streaming reader must
     # stay under the self-calibrated memory budget (the bool embeds its
-    # own scale guard); the store-vs-memory mining ratio is gated
-    # wherever the run was long enough to measure decode overhead
+    # own scale guard); the store-vs-memory mining ratio (median over
+    # alternating repeats) is gated wherever the run was long enough to
+    # measure decode overhead
     Metric("BENCH_store.json", "identical", "bool_true"),
     Metric("BENCH_store.json", "rss_bounded", "bool_true"),
     Metric(

@@ -129,7 +129,10 @@ def enumerate_matches(
             if limit is not None and emitted >= limit:
                 return
 
-    yield from backtrack(0, 0)
+    try:
+        yield from backtrack(0, 0)
+    finally:
+        del backtrack  # the closure reaches itself: break the cycle
 
 
 def count_matches(pattern: TemporalPattern, graph: TemporalGraph) -> int:

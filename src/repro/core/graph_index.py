@@ -27,6 +27,17 @@ Two client roles:
   built once and reused, with an optional time-window cap (``max_span``)
   reflecting bounded behavior durations.
 
+The span join may start at either end of the pattern.  Per call it
+counts, with two bisects, the first-edge candidates at or past
+``start_index`` and the last-edge candidates at or past
+``max(start_index, min_last_index)``, and starts at the last edge when
+that count is smaller (patterns of two or more edges only), otherwise
+at the first.  A streaming delta search pins the last edge into the new
+batch, so it mostly starts there and matches the earlier edges at
+falling ids.  The backward walk mirrors the forward one: its frontier
+only falls and its recorded set of first-edge witnesses only grows, so
+the same witness argument keeps it exact.
+
 Besides the matcher, this module hosts the **candidate-pruning
 prefilter** pieces: :class:`Signature` summarizes a pattern or graph as
 its node-label multiset plus edge-label-pair multiset, and containment
@@ -401,7 +412,12 @@ def _join_vectorized(
                 if limit is not None and emitted >= limit:
                     return
 
-    yield from join(0, start_index - 1, 0)
+    try:
+        yield from join(0, start_index - 1, 0)
+    finally:
+        # join reaches itself through its closure cell: unbind it when the
+        # generator finishes or is closed early (``limit``, ``next()``)
+        del join
 
 
 def _join_buffers(
@@ -486,7 +502,12 @@ def _join_buffers(
             if limit is not None and emitted >= limit:
                 return
 
-    yield from join(0, start_index - 1, 0)
+    try:
+        yield from join(0, start_index - 1, 0)
+    finally:
+        # join reaches itself through its closure cell: unbind it when the
+        # generator finishes or is closed early (``limit``, ``next()``)
+        del join
 
 
 #: Candidate lists at least this long are read through a per-call
@@ -511,25 +532,84 @@ def find_spans(
     instance by its time span (Section 6.2), and a dense log holds many
     matches per span, so every span consumer calls this instead.
 
-    It walks :func:`find_matches`' join — same candidate lists, frontier,
-    span cap, injectivity, ``start_index`` and ``min_last_index`` rules —
-    but records, per first edge, only which last-edge candidates a full
-    match reaches.  Before a level recurses on a candidate it looks for a
-    *witness*: a last-edge candidate that the rest of the level could
-    still reach (later than the candidate, under the span cap and the
-    ``min_last_index`` floor, agreeing with the bound nodes, none of its
-    unbound endpoints already used) and that is not recorded yet.  With
-    no witness the level stops: every span it could add is known.  The
-    check is exact and monotone — within a level the frontier only rises
-    and the recorded set only grows, so the witness pointer never moves
-    back — and no result of one partial match is reused for another.  A
-    level with no witness past its frontier returns before scanning.
+    It walks :func:`find_matches`' join — same candidate lists, span cap,
+    injectivity, ``start_index`` and ``min_last_index`` rules — from one
+    end of the pattern, the *anchor*, and records, per anchor, only which
+    candidates of the other end (the *witness* edge) a full match
+    reaches.  Before a level recurses on a candidate it looks for a
+    witness the rest of the level could still reach: one beyond the
+    candidate in walk order, inside the span cap and the id floors,
+    agreeing with the bound nodes, none of its unbound endpoints already
+    used, and not recorded yet.  With no witness the level stops: every
+    span it could add is known.  A level with no witness beyond its
+    frontier returns before scanning.
+
+    **Which end anchors.**  Forward, the anchor is the first edge and
+    levels ``1 … m-1`` match at strictly rising ids.  Backward, the
+    anchor is the last edge (id ``>= max(start_index, min_last_index)``),
+    every id must lie at or above a floor (the first id whose time is
+    ``>= t_last - max_span``, and ``>= start_index``), and levels
+    ``m-2 … 0`` match at strictly falling ids, each scanned downward.
+    Per call the start is chosen from two bisects
+    (:func:`_starts_backward`): a pattern of two or more edges starts
+    backward when fewer last-edge candidates lie in range than first-edge
+    ones, otherwise — ties and single edges included — forward.  A
+    streaming delta search pins the last edge into a small batch, so it
+    mostly starts backward; a batch search over a whole log starts at
+    the end whose label pair is rarer.
+
+    **Exactness.**  The witness check is a necessary condition for the
+    recursion to add a span, and it is monotone within a level: the
+    bound nodes and the used set are fixed there, the level's candidate
+    ids only move toward the witness end (they rise forward and fall
+    backward, so the range of reachable witnesses only shrinks), and
+    the recorded set only grows.  A witness that fails once fails for
+    every later candidate of the level, so the witness pointer never
+    moves back and stopping at the first candidate without one loses
+    nothing.  No result of one partial match is reused for another.
 
     Long candidate lists are read through an endpoint index, built
     lazily, at most once per list and endpoint per call, over ids
     ``>= start_index`` only, so per-call set-up scales with what the join
     visits, not with the window.  ``graph`` must offer ``edge_arrays()``;
     the columns are read in place.
+    """
+    return _span_join(pattern, graph, max_span, start_index, min_last_index, None)
+
+
+def _starts_backward(
+    candidate_lists: list[Sequence[int]], start_index: int, min_last_index: int
+) -> bool:
+    """Whether the span join anchors at the pattern's last edge.
+
+    True when the pattern has two or more edges and fewer last-edge
+    candidates have id ``>= max(start_index, min_last_index)`` than
+    first-edge candidates have id ``>= start_index``.
+    """
+    if len(candidate_lists) < 2:
+        return False
+    first = candidate_lists[0]
+    last = candidate_lists[-1]
+    n_first = len(first) - bisect_left(first, start_index)
+    n_last = len(last) - bisect_left(last, max(start_index, min_last_index))
+    return n_last < n_first
+
+
+def _span_join(
+    pattern: TemporalPattern,
+    graph: "TemporalGraph | EdgeIndexedSource",
+    max_span: int | None,
+    start_index: int,
+    min_last_index: int,
+    backward: bool | None,
+) -> set[Span]:
+    """:func:`find_spans` anchored forward (``backward=False``), backward
+    (``True``) or at the end :func:`_starts_backward` picks (``None``).
+
+    Both directions share the set-up (candidate lists, the compaction
+    check, endpoint-index routing, the level table) and the teardown;
+    only the recursive walk and its anchor loop are written per
+    direction.
     """
     if not getattr(graph, "frozen", True):
         graph.freeze()
@@ -555,10 +635,15 @@ def find_spans(
                 # a candidate below the compaction base means the caller's
                 # start was wrong: never silently read a recycled slot
                 raise IndexError(f"edge {lst[lo]} was compacted away")
+    if backward is None:
+        backward = _starts_backward(candidate_lists, start_index, min_last_index)
 
     last = m - 1
-    last_floor = min_last_index - 1
-    lu, lv = p_edges[last]
+    # the walk ends at the witness edge: the first one going backward
+    order = range(last, -1, -1) if backward else range(m)
+    w_pos = 0 if backward else last
+    wu, wv = p_edges[w_pos]
+    w_list = candidate_lists[w_pos]
 
     # Long lists are read through an endpoint index at levels that have
     # a bound endpoint: one lazily built index per (list, keying column).
@@ -587,42 +672,59 @@ def find_spans(
         return index.get(assignment[node], ())
 
     # Which pattern nodes a level finds bound does not depend on the data:
-    # exactly the nodes of the edges before it.
-    levels = []
+    # exactly the nodes of the edges the walk matched before it.
+    levels: list = [None] * m
     nodes: set[int] = set()
-    for (u, v), lst in zip(p_edges, candidate_lists):
+    for k in order:
+        u, v = p_edges[k]
         u_bound, v_bound = u in nodes, v in nodes
-        lu_bound, lv_bound = lu in nodes, lv in nodes
-        scan = route(lst, u, v, u_bound, v_bound)
-        witness = route(candidate_lists[last], lu, lv, lu_bound, lv_bound)
-        levels.append((u, v, u_bound, v_bound, scan, lu_bound, lv_bound, witness))
+        wu_bound, wv_bound = wu in nodes, wv in nodes
+        scan = route(candidate_lists[k], u, v, u_bound, v_bound)
+        witness = route(w_list, wu, wv, wu_bound, wv_bound)
+        levels[k] = (u, v, u_bound, v_bound, scan, wu_bound, wv_bound, witness)
         nodes.update((u, v))
 
     assignment = [0] * pattern.num_nodes
     used: set[int] = set()
     recorded: set[int] = set()
-    t0 = cap = 0
 
-    def join(k: int, frontier: int) -> None:
-        pu, pv, u_bound, v_bound, scan, lu_bound, lv_bound, witness = levels[k]
-        if k < last:
-            witnesses = candidates(*witness)
-            w_end = bisect_right(witnesses, cap)
-            w = bisect_right(witnesses, max(frontier, last_floor))
-            if w >= w_end:
+    if backward:
+        # anchored at the last edge: levels m-2 … 0 at falling ids in
+        # [floor, frontier); the first-edge witnesses fix each span's start.
+        # Without a span cap the floor stays at start_index.
+        t_end = 0
+        floor = start_index
+
+        def join(k: int, frontier: int) -> None:
+            pu, pv, u_bound, v_bound, scan, wu_bound, wv_bound, witness = levels[k]
+            if k:
+                witnesses = candidates(*witness)
+                w_lo = bisect_left(witnesses, floor)
+                w = bisect_left(witnesses, frontier, w_lo)
+                if w <= w_lo:
+                    return
+            au = assignment[pu]
+            av = assignment[pv]
+            cands = candidates(*scan)
+            lo = bisect_left(cands, floor)
+            hi = bisect_left(cands, frontier, lo)
+            if not k:
+                for pos in range(lo, hi):
+                    idx = cands[pos]
+                    if idx in recorded:
+                        continue
+                    off = idx - base
+                    du = e_src[off]
+                    dv = e_dst[off]
+                    if du != au if u_bound else du in used:
+                        continue
+                    if dv != av if v_bound else dv in used or du == dv:
+                        continue
+                    recorded.add(idx)
+                    spans.add((e_time[off], t_end))
                 return
-        else:
-            frontier = max(frontier, last_floor)
-        au = assignment[pu]
-        av = assignment[pv]
-        cands = candidates(*scan)
-        lo = bisect_right(cands, frontier)
-        hi = bisect_right(cands, cap, lo)
-        if k == last:
-            for pos in range(lo, hi):
+            for pos in range(hi - 1, lo - 1, -1):
                 idx = cands[pos]
-                if idx in recorded:
-                    continue
                 off = idx - base
                 du = e_src[off]
                 dv = e_dst[off]
@@ -630,73 +732,160 @@ def find_spans(
                     continue
                 if dv != av if v_bound else dv in used or du == dv:
                     continue
-                recorded.add(idx)
-                spans.add((t0, e_time[off]))
-            return
-        for pos in range(lo, hi):
-            idx = cands[pos]
+                # stop the level unless a witness is left below this candidate
+                w = bisect_left(witnesses, idx, w_lo, w)
+                while w > w_lo:
+                    x = witnesses[w - 1]
+                    if x not in recorded:
+                        x_off = x - base
+                        xs = e_src[x_off]
+                        xd = e_dst[x_off]
+                        if (xs == assignment[wu] if wu_bound else xs not in used) and (
+                            xd == assignment[wv]
+                            if wv_bound
+                            else xd not in used and xs != xd
+                        ):
+                            break
+                    w -= 1
+                else:
+                    return
+                if not u_bound:
+                    assignment[pu] = du
+                    used.add(du)
+                if not v_bound:
+                    assignment[pv] = dv
+                    used.add(dv)
+                join(k - 1, idx)
+                if not u_bound:
+                    used.discard(du)
+                if not v_bound:
+                    used.discard(dv)
+
+        anchors = candidate_lists[last]
+        pu0, pv0 = p_edges[last]
+        # ids below max(start_index, base) are never read; the floor's
+        # time bisect starts there
+        t_lo = max(start_index - base, 0)
+        for idx in islice(
+            anchors, bisect_left(anchors, max(start_index, min_last_index)), None
+        ):
             off = idx - base
             du = e_src[off]
             dv = e_dst[off]
-            if du != au if u_bound else du in used:
+            if du == dv:
                 continue
-            if dv != av if v_bound else dv in used or du == dv:
+            t_end = e_time[off]
+            if m == 1:
+                spans.add((t_end, t_end))
                 continue
-            # stop the level unless a witness is left past this candidate
-            w = bisect_right(witnesses, max(idx, last_floor), w)
-            while w < w_end:
-                x = witnesses[w]
-                if x not in recorded:
-                    x_off = x - base
-                    xs = e_src[x_off]
-                    xd = e_dst[x_off]
-                    if (xs == assignment[lu] if lu_bound else xs not in used) and (
-                        xd == assignment[lv]
-                        if lv_bound
-                        else xd not in used and xs != xd
-                    ):
-                        break
-                w += 1
-            else:
-                return
-            if not u_bound:
-                assignment[pu] = du
-                used.add(du)
-            if not v_bound:
-                assignment[pv] = dv
-                used.add(dv)
-            join(k + 1, idx)
-            if not u_bound:
-                used.discard(du)
-            if not v_bound:
-                used.discard(dv)
+            if max_span is not None:
+                floor = base + bisect_left(e_time, t_end - max_span, t_lo, off)
+            assignment[pu0] = du
+            assignment[pv0] = dv
+            used = {du, dv}
+            if recorded:
+                recorded = set()
+            join(last - 1, idx)
+    else:
+        # anchored at the first edge: levels 1 … m-1 at rising ids in
+        # (frontier, cap]; the last-edge witnesses fix each span's end
+        last_floor = min_last_index - 1
+        t0 = cap = 0
 
-    first = candidate_lists[0]
-    pu0, pv0 = p_edges[0]
-    floor = start_index - 1 if m > 1 else max(start_index - 1, last_floor)
-    end_cap = base + len(e_time) - 1
-    for idx in islice(first, bisect_right(first, floor), None):
-        off = idx - base
-        du = e_src[off]
-        dv = e_dst[off]
-        if du == dv:
-            continue
-        t0 = e_time[off]
-        if m == 1:
-            spans.add((t0, t0))
-            continue
-        if max_span is not None:
-            cap = base + bisect_right(e_time, t0 + max_span, off) - 1
-            if cap < min_last_index:
+        def join(k: int, frontier: int) -> None:
+            pu, pv, u_bound, v_bound, scan, wu_bound, wv_bound, witness = levels[k]
+            if k < last:
+                witnesses = candidates(*witness)
+                w_end = bisect_right(witnesses, cap)
+                w = bisect_right(witnesses, max(frontier, last_floor))
+                if w >= w_end:
+                    return
+            else:
+                frontier = max(frontier, last_floor)
+            au = assignment[pu]
+            av = assignment[pv]
+            cands = candidates(*scan)
+            lo = bisect_right(cands, frontier)
+            hi = bisect_right(cands, cap, lo)
+            if k == last:
+                for pos in range(lo, hi):
+                    idx = cands[pos]
+                    if idx in recorded:
+                        continue
+                    off = idx - base
+                    du = e_src[off]
+                    dv = e_dst[off]
+                    if du != au if u_bound else du in used:
+                        continue
+                    if dv != av if v_bound else dv in used or du == dv:
+                        continue
+                    recorded.add(idx)
+                    spans.add((t0, e_time[off]))
+                return
+            for pos in range(lo, hi):
+                idx = cands[pos]
+                off = idx - base
+                du = e_src[off]
+                dv = e_dst[off]
+                if du != au if u_bound else du in used:
+                    continue
+                if dv != av if v_bound else dv in used or du == dv:
+                    continue
+                # stop the level unless a witness is left past this candidate
+                w = bisect_right(witnesses, max(idx, last_floor), w)
+                while w < w_end:
+                    x = witnesses[w]
+                    if x not in recorded:
+                        x_off = x - base
+                        xs = e_src[x_off]
+                        xd = e_dst[x_off]
+                        if (xs == assignment[wu] if wu_bound else xs not in used) and (
+                            xd == assignment[wv]
+                            if wv_bound
+                            else xd not in used and xs != xd
+                        ):
+                            break
+                    w += 1
+                else:
+                    return
+                if not u_bound:
+                    assignment[pu] = du
+                    used.add(du)
+                if not v_bound:
+                    assignment[pv] = dv
+                    used.add(dv)
+                join(k + 1, idx)
+                if not u_bound:
+                    used.discard(du)
+                if not v_bound:
+                    used.discard(dv)
+
+        anchors = candidate_lists[0]
+        pu0, pv0 = p_edges[0]
+        anchor_floor = start_index - 1 if m > 1 else max(start_index - 1, last_floor)
+        end_cap = base + len(e_time) - 1
+        for idx in islice(anchors, bisect_right(anchors, anchor_floor), None):
+            off = idx - base
+            du = e_src[off]
+            dv = e_dst[off]
+            if du == dv:
                 continue
-        else:
-            cap = end_cap
-        assignment[pu0] = du
-        assignment[pv0] = dv
-        used = {du, dv}
-        if recorded:
-            recorded = set()
-        join(1, idx)
+            t0 = e_time[off]
+            if m == 1:
+                spans.add((t0, t0))
+                continue
+            if max_span is not None:
+                cap = base + bisect_right(e_time, t0 + max_span, off) - 1
+                if cap < min_last_index:
+                    continue
+            else:
+                cap = end_cap
+            assignment[pu0] = du
+            assignment[pv0] = dv
+            used = {du, dv}
+            if recorded:
+                recorded = set()
+            join(1, idx)
     # join reaches itself through its closure cell; unbinding it breaks
     # the only reference cycle here, so the closures, their cells and the
     # sets they hold are freed on return instead of by the cyclic collector

@@ -129,9 +129,12 @@ class SequenceSubgraphTester:
                 failed_states.add(state)
             return False
 
-        if search(0, 0):
-            return tuple(assignment)
-        return None
+        found = search(0, 0)
+        # search reaches itself through its closure cell; unbinding it
+        # breaks the cycle, so the closures and the state they hold are
+        # freed on return instead of by the cyclic collector
+        del search
+        return tuple(assignment) if found else None
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -130,9 +130,11 @@ class VF2SubgraphTester:
                 assignment[a] = -1
             return False
 
-        if search(0):
-            return tuple(assignment)
-        return None
+        found = search(0)
+        # search reaches itself through its closure cell; unbinding it
+        # breaks the cycle (see SequenceSubgraphTester.mapping)
+        del search
+        return tuple(assignment) if found else None
 
 
 def _adjacency(pattern: TemporalPattern) -> dict[int, dict[int, int]]:

@@ -529,7 +529,11 @@ class DetectionService:
 
         Any such match has its last edge at time ``>= delta_min_time``,
         so its first edge cannot predate ``delta_min_time - max_span`` —
-        the join starts there instead of at the window edge.
+        no id below that horizon is read.  The join itself starts at
+        whichever pattern end has fewer candidates in range: usually the
+        last edge, whose candidates are the delta's, walking back to the
+        first edge above the horizon (see
+        :func:`~repro.core.graph_index.find_spans`).
         """
         start_index = max(
             self.graph.first_live_index,

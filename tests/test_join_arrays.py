@@ -5,7 +5,7 @@ buffer walk) that must behave identically in the corners: empty
 candidate lists, scan windows straddling a streaming eviction boundary,
 and match limits cutting a mask batch mid-iteration.  The scalar join
 (``array`` backend) is the sequence reference.  The span join shares
-the dead-prefix defense.
+the dead-prefix defense, and picks the pattern end it starts from.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 import repro.core.graph_index as graph_index
 from repro.core import buffers
 from repro.core.graph import TemporalGraph
-from repro.core.graph_index import find_matches, find_spans
+from repro.core.graph_index import find_matches, find_spans, match_span
 from repro.core.pattern import TemporalPattern
 from repro.serving.streaming import StreamingGraph
 from repro.syscall.events import SyscallEvent
@@ -172,6 +172,84 @@ class TestEvictionBoundary:
         with pytest.raises(IndexError, match="compacted away"):
             find_spans(pattern, StaleSource())
         assert find_spans(pattern, StaleSource(), start_index=5) == {(5, 5), (7, 7)}
+
+        # a delta search that starts at the last edge (one last-edge
+        # candidate in range, three first-edge ones) checks first too,
+        # and so does each forced start
+        twice = TemporalPattern(["A", "B"], [(0, 1), (0, 1)])
+        assert graph_index._starts_backward([[2, 5, 7], [2, 5, 7]], 0, 7)
+        with pytest.raises(IndexError, match="compacted away"):
+            find_spans(twice, StaleSource(), min_last_index=7)
+        for backward in (False, True):
+            with pytest.raises(IndexError, match="compacted away"):
+                graph_index._span_join(twice, StaleSource(), None, 0, 7, backward)
+        assert graph_index._starts_backward([[5, 7], [5, 7]], 5, 7)
+        assert find_spans(twice, StaleSource(), start_index=5, min_last_index=7) == {
+            (5, 7)
+        }
+
+
+class TestSpanJoinStart:
+    """A delta search anchors at the pattern end with fewer candidates
+    in range; ties and single-edge patterns start at the first edge.
+
+    The pick is read off the private helper ``find_spans`` consults, on a
+    live window with the service's delta-call shape; every result is
+    checked against the match oracle.
+    """
+
+    PATTERN = TemporalPattern(["A", "B", "C"], [(0, 1), (1, 2)])
+    MAX_SPAN = 50
+
+    def _start(self, monkeypatch, history, delta_size):
+        """``history`` ``a -> b`` events, then a delta of ``delta_size``
+        ``b -> c`` events; returns the start picked and the spans."""
+        stream = StreamingGraph(window_span=100, name="w")
+        stream.ingest([_event(t, f"a{t}", "A", "b", "B") for t in range(history)])
+        delta = stream.ingest(
+            [_event(history + t, "b", "B", f"c{t}", "C") for t in range(delta_size)]
+        )
+        kwargs = dict(
+            max_span=self.MAX_SPAN,
+            start_index=max(
+                stream.first_live_index,
+                stream.index_after_time(delta.min_time - self.MAX_SPAN),
+            ),
+            min_last_index=delta.start_index,
+        )
+        picked = []
+        choose = graph_index._starts_backward
+
+        def spy(*args):
+            picked.append(choose(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(graph_index, "_starts_backward", spy)
+        spans = find_spans(self.PATTERN, stream, **kwargs)
+        assert spans == {
+            match_span(m, stream)
+            for m in find_matches(self.PATTERN, stream, **kwargs)
+        }
+        assert len(picked) == 1
+        return picked[0], spans
+
+    def test_fewer_last_edge_candidates_start_backward(self, monkeypatch):
+        backward, spans = self._start(monkeypatch, history=6, delta_size=1)
+        assert backward
+        assert spans == {(t, 6) for t in range(6)}
+
+    def test_fewer_first_edge_candidates_start_forward(self, monkeypatch):
+        backward, spans = self._start(monkeypatch, history=1, delta_size=4)
+        assert not backward
+        assert spans == {(0, t) for t in range(1, 5)}
+
+    def test_tie_starts_forward(self, monkeypatch):
+        backward, spans = self._start(monkeypatch, history=2, delta_size=2)
+        assert not backward
+        assert spans == {(a, c) for a in range(2) for c in range(2, 4)}
+
+    def test_single_edge_starts_forward(self):
+        assert not graph_index._starts_backward([[1, 2, 3]], 0, 3)
 
 
 class TestLimitMidBatch:

@@ -1,5 +1,7 @@
-"""Tests for TGMiner: planted patterns, pruning variants, stats, config."""
+"""Tests for TGMiner: planted patterns, pruning variants, stats, config,
+and that no variant leaves cyclic garbage."""
 
+import gc
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from repro.core.miner import (
     VARIANT_NAMES,
     miner_variant,
 )
+from repro.syscall.collector import build_training_data
 
 from conftest import random_temporal_graph
 
@@ -137,6 +140,35 @@ class TestVariants:
         ).mine(pos, neg)
         pruned = TGMiner(MinerConfig(max_edges=4, min_pos_support=0.4)).mine(pos, neg)
         assert pruned.stats.patterns_explored <= full.stats.patterns_explored
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    """Two instances per behavior, three background graphs: every
+    variant's subgraph tester recurses while mining one behavior."""
+    return build_training_data(instances_per_behavior=2, background_graphs=3, seed=7)
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_mining_leaves_no_cyclic_garbage(self, small_corpus, name):
+        """The recursive tester closures (sequence, VF2, the PruneGI
+        join) are unbound before they return, so a mining run leaves
+        nothing for the cyclic collector."""
+        positives = small_corpus.behavior("bzip2-decompress")
+        config = miner_variant(name, MinerConfig(max_edges=3))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = TGMiner(config).mine(positives, small_corpus.background)
+            found = gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert result.stats.subgraph_tests > 0
+        assert found == 0
+        assert garbage == 0
 
 
 class TestStats:

@@ -8,8 +8,9 @@
   masks) enumerate byte-identical match sequences on seeded adversarial
   logs, batch and streaming alike;
 * the span join (``find_spans``) returns exactly the span set of the
-  uncapped match enumeration, batch and streaming alike, including on a
-  log with far more matches than spans.
+  uncapped match enumeration, batch and streaming alike, from either
+  end of the pattern, including on a log with far more matches than
+  spans.
 """
 
 import random
@@ -369,13 +370,31 @@ def _spans_of_matches(pattern, graph, **kwargs):
     return {match_span(m, graph) for m in find_matches(pattern, graph, **kwargs)}
 
 
+def _assert_spans_exact(pattern, graph, kwargs, context):
+    """``find_spans`` and both forced starts of the span join equal the
+    oracle."""
+    want = _spans_of_matches(pattern, graph, **kwargs)
+    assert find_spans(pattern, graph, **kwargs) == want, context
+    for backward in (False, True):
+        got = graph_index._span_join(
+            pattern,
+            graph,
+            kwargs["max_span"],
+            kwargs["start_index"],
+            kwargs["min_last_index"],
+            backward,
+        )
+        assert got == want, f"{context} backward={backward}"
+
+
 class TestSpanJoinExactness:
     """``find_spans`` equals the oracle's span set on adversarial logs.
 
     Each case runs with the endpoint-index threshold at 0 (every list
     indexed) and at its default (these small logs scan directly), on
     every backend, under span caps of none, small and large, and with
-    random ``start_index`` / ``min_last_index`` floors.
+    random ``start_index`` / ``min_last_index`` floors — through the
+    start ``find_spans`` picks and through each start forced.
     """
 
     @pytest.mark.parametrize("seed", range(40))
@@ -401,9 +420,12 @@ class TestSpanJoinExactness:
             for threshold in (0, default):
                 monkeypatch.setattr(graph_index, "_INDEX_MIN_CANDIDATES", threshold)
                 for pattern, kwargs in cases:
-                    assert find_spans(pattern, graph, **kwargs) == (
-                        _spans_of_matches(pattern, graph, **kwargs)
-                    ), f"{backend} index>={threshold} {pattern.key()} {kwargs}"
+                    _assert_spans_exact(
+                        pattern,
+                        graph,
+                        kwargs,
+                        f"{backend} index>={threshold} {pattern.key()} {kwargs}",
+                    )
 
     @pytest.mark.parametrize("seed", range(16))
     def test_evicting_stream_delta_spans_exact(
@@ -440,9 +462,12 @@ class TestSpanJoinExactness:
                         start_index=start,
                         min_last_index=delta.start_index,
                     )
-                    assert find_spans(pattern, stream, **kwargs) == (
-                        _spans_of_matches(pattern, stream, **kwargs)
-                    ), f"{backend} index>={threshold} after {offset} events"
+                    _assert_spans_exact(
+                        pattern,
+                        stream,
+                        kwargs,
+                        f"{backend} index>={threshold} after {offset} events",
+                    )
 
 
 class TestManyMatchesPerSpan:

@@ -10,9 +10,11 @@ window.
 
 import gc
 import random
+from dataclasses import replace
 
 import pytest
 
+import repro.core.graph_index as graph_index
 from repro.core.errors import DatasetError, ServingError
 from repro.core.graph_index import Signature, find_spans, graph_signature
 from repro.core.pattern import TemporalPattern
@@ -358,6 +360,57 @@ class TestNoCyclicGarbage:
             gc.set_debug(0)
             gc.garbage.clear()
         assert service.stats.detections and any(spans)
+        assert found == 0
+        assert garbage == 0
+
+    #: category-label skeletons: on the coarsened log every label pair
+    #: indexes many window edges, so delta searches start at the last edge
+    SKELETONS = (
+        (("proc", "proc", "file"), ((0, 1), (1, 2))),
+        (("proc", "file", "file", "file"), ((0, 1), (0, 2), (0, 3))),
+        (("proc", "proc"), ((0, 1), (0, 1), (0, 1))),
+    )
+
+    def test_backward_started_replay_leaves_no_garbage(
+        self, recorded_log, monkeypatch
+    ):
+        data, _queries = recorded_log
+        events = [
+            replace(
+                event,
+                src_label=event.src_label.split(":", 1)[0],
+                dst_label=event.dst_label.split(":", 1)[0],
+            )
+            for event in data.events
+        ]
+        service = DetectionService()
+        for index, (labels, edges) in enumerate(self.SKELETONS):
+            service.register(
+                name=f"skeleton-{index}",
+                pattern=TemporalPattern(labels, edges),
+                max_span=100,
+            )
+        starts = []
+        choose = graph_index._starts_backward
+
+        def spy(*args):
+            starts.append(choose(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(graph_index, "_starts_backward", spy)
+        batches = list(iter_event_batches(events, 8))
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for batch in batches:
+                service.ingest(batch)
+            found = gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert service.stats.detections
+        assert sum(starts) > len(starts) // 2, "most delta searches start backward"
         assert found == 0
         assert garbage == 0
 
