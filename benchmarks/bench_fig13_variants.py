@@ -30,7 +30,7 @@ VARIANTS = ("TGMiner", "SubPrune", "SupPrune", "PruneGI", "PruneVF2", "LinearSca
 #: tests / residual comparisons); their ordering vs TGMiner reproduces at
 #: laptop scale.  SubPrune/SupPrune differ through *branch cutting*, which
 #: needs the paper's full-scale tie-free score landscape to bite — see
-#: EXPERIMENTS.md for the divergence note.
+#: the divergence note in docs/ARCHITECTURE.md, section 3.
 OVERHEAD_VARIANTS = ("PruneGI", "PruneVF2", "LinearScan")
 
 

@@ -3,6 +3,11 @@
 Expected shape (paper): subgraph pruning triggers on a large fraction of
 processed patterns (60-70%+) across all size classes, supergraph pruning
 on a small fraction (1-10%).
+
+``saturated`` counts the explored patterns whose branch bound reached
+the maximum score F(1, 0).  Every class reaches that score, so no such
+pattern can prune another (a pruning needs a bound below the best
+score) and the pruning history does not index them.
 """
 
 from repro.core.miner import MinerConfig
@@ -30,20 +35,27 @@ def test_table3_pruning_trigger_rates(benchmark, train):
                 result.stats.subgraph_trigger_rate(),
                 result.stats.supergraph_trigger_rate(),
                 result.stats.patterns_explored,
+                result.stats.saturated_entries,
             )
         return rates
 
     rates = once(benchmark, run)
     emit("\n=== Table 3: pruning-condition trigger probabilities ===")
-    emit(f"{'class':8s} {'subgraph':>9s} {'supergraph':>11s} {'#patterns':>10s}")
-    for cls, (sub, sup, explored) in rates.items():
-        emit(f"{cls:8s} {sub * 100:8.1f}% {sup * 100:10.1f}% {explored:10d}")
+    emit(
+        f"{'class':8s} {'subgraph':>9s} {'supergraph':>11s} {'#patterns':>10s}"
+        f" {'saturated':>10s}"
+    )
+    for cls, (sub, sup, explored, saturated) in rates.items():
+        emit(
+            f"{cls:8s} {sub * 100:8.1f}% {sup * 100:10.1f}% {explored:10d}"
+            f" {saturated:10d}"
+        )
     # shape: subgraph pruning dominates supergraph pruning everywhere
-    for cls, (sub, sup, _explored) in rates.items():
+    for cls, (sub, sup, _explored, _saturated) in rates.items():
         assert sub >= sup, f"supergraph pruning unexpectedly dominant on {cls}"
     if scale_guard(
         "subgraph pruning triggers > 20%", train_instances=8, background_graphs=24
     ):
         # residual-set collisions (what both prunings key on) need the
         # full corpus size to occur at the paper's rates
-        assert any(sub > 0.2 for sub, _sup, _e in rates.values())
+        assert any(sub > 0.2 for sub, _sup, _e, _s in rates.values())

@@ -993,11 +993,13 @@ def signature_contains(big: Signature, small: Signature) -> bool:
 
 
 class CandidateFilter:
-    """The miner's per-run cache of pattern masks and label indexes.
+    """The miner's per-run mask bit positions and label indexes.
 
     One filter lives per mining run (``MinerConfig.index_prefilter``);
-    it memoizes pattern masks (patterns are immutable and hashable) plus
-    per-pattern label→nodes indexes used to seed VF2 candidate lists.
+    it owns the bit positions of pattern masks plus cached per-pattern
+    label→nodes indexes used to seed VF2 candidate lists.  Masks
+    themselves are not cached: the miner asks for each reached
+    pattern's mask once and keeps it on the pattern's history entry.
 
     **Pattern masks.**  :meth:`pattern_mask` encodes a pattern's
     signature as one int: bit ``(label, k)`` is set for every ``k`` up
@@ -1013,7 +1015,6 @@ class CandidateFilter:
 
     def __init__(self) -> None:
         self._label_nodes: dict[TemporalPattern, dict[str, list[int]]] = {}
-        self._pattern_masks: dict[TemporalPattern, int] = {}
         # (label or label pair, k) -> its bit; positions in first-sight order
         self._bits: dict[tuple[object, int], int] = {}
 
@@ -1028,18 +1029,15 @@ class CandidateFilter:
         return index
 
     def pattern_mask(self, pattern: TemporalPattern) -> int:
-        """Cached exact bitmask of a pattern's label signature."""
-        mask = self._pattern_masks.get(pattern)
-        if mask is None:
-            labels = pattern.labels
-            bits = self._bits
-            seen: dict[object, int] = {}
-            mask = 0
-            for key in (*labels, *[(labels[u], labels[v]) for u, v in pattern.edges]):
-                k = seen[key] = seen.get(key, 0) + 1
-                bit = bits.get((key, k))
-                if bit is None:
-                    bit = bits[(key, k)] = 1 << len(bits)
-                mask |= bit
-            self._pattern_masks[pattern] = mask
+        """Exact bitmask of a pattern's label signature."""
+        labels = pattern.labels
+        bits = self._bits
+        seen: dict[object, int] = {}
+        mask = 0
+        for key in (*labels, *[(labels[u], labels[v]) for u, v in pattern.edges]):
+            k = seen[key] = seen.get(key, 0) + 1
+            bit = bits.get((key, k))
+            if bit is None:
+                bit = bits[(key, k)] = 1 << len(bits)
+            mask |= bit
         return mask

@@ -39,7 +39,6 @@ __all__ = [
     "seed_patterns",
     "extend_embeddings",
     "child_pattern",
-    "cut_points",
 ]
 
 
@@ -190,17 +189,6 @@ def child_pattern(pattern: TemporalPattern, key: ExtensionKey) -> TemporalPatter
     if kind == "i":
         return pattern.grow_inward(int(a), int(b))
     raise ValueError(f"unknown extension kind {kind!r}")
-
-
-def cut_points(embeddings: EmbeddingTable) -> Iterable[tuple[int, int]]:
-    """Yield ``(graph id, last edge index)`` per embedding (with repeats).
-
-    Rows are consumed positionally (``emb[1]``), the fast path for the
-    tuple-of-int rows :func:`extend_embeddings` builds.
-    """
-    for gid, emb_set in embeddings.items():
-        for emb in emb_set:
-            yield (gid, emb[1])
 
 
 def sort_extension_keys(keys: Iterable[ExtensionKey]) -> list[ExtensionKey]:

@@ -27,6 +27,14 @@ interner, enumerates seeds from each graph's one-edge label-pair index,
 grows embeddings over the kernels' CSR runs and reads residual label
 sets from the kernels' interned suffix sets.
 
+The pruning history indexes only entries that can prune: one whose
+branch bound reached ``F(1, 0)``, which no best score exceeds, is
+counted (``MiningStats.saturated_entries``) instead.  Residual-set
+equivalence in integer mode is the history key itself.  The cyclic
+collector is paused for the search and restored once the history is
+freed: the search leaves no reference cycle, so a collection during it
+would only walk the live history.
+
 The growth loop's hot path is the subgraph-isomorphism tests issued by
 the two prunings.  With :attr:`MinerConfig.index_prefilter` (default on)
 the run owns a :class:`~repro.core.graph_index.CandidateFilter`: every
@@ -47,6 +55,7 @@ faithful.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
@@ -58,7 +67,6 @@ from repro.core.kernel import LabelInterner, build_kernels
 from repro.core.growth import (
     EmbeddingTable,
     child_pattern,
-    cut_points,
     extend_embeddings,
     seed_patterns,
     sort_extension_keys,
@@ -180,7 +188,13 @@ class MinedPattern:
 
 @dataclass
 class MiningStats:
-    """Instrumentation counters backing the efficiency experiments."""
+    """Instrumentation counters backing the efficiency experiments.
+
+    ``saturated_entries`` counts the explored patterns whose branch bound
+    reached the maximum score ``F(1, 0)``: no best score exceeds it, so
+    neither pruning could ever fire on them and the pruning history does
+    not index them.
+    """
 
     patterns_explored: int = 0
     subgraph_pruning_triggers: int = 0
@@ -190,6 +204,7 @@ class MiningStats:
     index_prefilter_skips: int = 0
     index_prefilter_checks: int = 0
     residual_equivalence_tests: int = 0
+    saturated_entries: int = 0
     elapsed_seconds: float = 0.0
     timed_out: bool = False
 
@@ -238,6 +253,7 @@ def split_seed_table(
 class _HistoryEntry:
     """A fully-explored pattern retained for pruning lookups.
 
+    Only patterns whose branch bound is below ``F(1, 0)`` are retained.
     ``mask`` is the pattern's label-signature bitmask (``0`` without a
     candidate filter).
     """
@@ -278,8 +294,20 @@ class TGMiner:
         for graph in list(positives) + list(negatives):
             if not graph.frozen:
                 graph.freeze()
-        run = _MiningRun(self.config, positives, negatives)
-        return run.execute()
+        # The search allocates hundreds of thousands of objects and
+        # leaves no reference cycle, so collections during it find
+        # nothing.  The run is a temporary: it and its pruning history
+        # are freed by reference counting before the collector resumes,
+        # so the collector never walks the history.  Only a run that
+        # found it enabled re-enables it, so runs in concurrent threads
+        # may resume it early but never leave it off.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return _MiningRun(self.config, positives, negatives).execute()
+        finally:
+            if collecting:
+                gc.enable()
 
 
 class _MiningRun:
@@ -310,8 +338,13 @@ class _MiningRun:
         self.best_by_size: dict[int, MinedPattern] = {}
         self.filter = CandidateFilter() if config.index_prefilter else None
         self.tester = self._make_tester()
-        self.keep_cut_pairs = config.residual_equivalence == "linear"
-        # History indexes; key structure depends on the equivalence mode.
+        self.linear = config.residual_equivalence == "linear"
+        # no score exceeds F(1, 0): a branch bound at or above it never
+        # lets an entry prune, so the history does not index it
+        self.saturated = self.score_fn.upper_bound(1.0)
+        # History indexes.  Integer mode keys them by the residual
+        # integers themselves, so every entry under a key passes the
+        # residual test; linear mode keys them by residual-set sizes.
         self.sub_index: dict[object, list[_HistoryEntry]] = {}
         self.super_index: dict[object, list[_HistoryEntry]] = {}
         self.deadline = (
@@ -332,8 +365,8 @@ class _MiningRun:
         """Clear search state so one run object can mine seeds in isolation.
 
         The candidate filter and tester are deliberately retained: their
-        caches (bit positions, masks, label indexes) are sound (they
-        never change which patterns are mined, only how fast tests are
+        caches (mask bit positions, label indexes) are sound (they never
+        change which patterns are mined, only how fast tests are
         answered), and rebuilding them per seed would defeat the point
         of a per-worker run object.  Used by :mod:`repro.core.parallel`
         to give every seed subtree a fresh pruning history and
@@ -354,10 +387,24 @@ class _MiningRun:
     def run_seed(
         self, src_label: str, dst_label: str, table: EmbeddingTable
     ) -> None:
-        """Explore one seed pattern's subtree from its embedding table."""
-        pos_embs, neg_embs = split_seed_table(table, self.n_pos)
-        pattern = TemporalPattern.single_edge(src_label, dst_label)
-        self._dfs(pattern, pos_embs, neg_embs)
+        """Explore one seed pattern's subtree from its embedding table.
+
+        The collector is paused for the subtree, as in
+        :meth:`TGMiner.mine`, and the subtree's pruning history is
+        released before it resumes: the caller reads only the incumbents
+        and counters, and resets the run before its next seed.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            pos_embs, neg_embs = split_seed_table(table, self.n_pos)
+            pattern = TemporalPattern.single_edge(src_label, dst_label)
+            self._dfs(pattern, pos_embs, neg_embs)
+        finally:
+            self.sub_index = {}
+            self.super_index = {}
+            if collecting:
+                gc.enable()
 
     def finalize(self, started: float) -> MiningResult:
         """Rank co-optimals and build the result."""
@@ -402,16 +449,10 @@ class _MiningRun:
         mask = self.filter.pattern_mask(pattern) if self.filter is not None else 0
 
         pos_res = summarize_residuals(
-            self.pos_kernels,
-            cut_points(pos_embs),
-            keep_cut_pairs=self.keep_cut_pairs,
-            with_labels=True,
+            self.pos_kernels, pos_embs, keep_cut_pairs=self.linear
         )
         neg_res = summarize_residuals(
-            self.neg_kernels,
-            cut_points(neg_embs),
-            keep_cut_pairs=self.keep_cut_pairs,
-            with_labels=False,
+            self.neg_kernels, neg_embs, keep_cut_pairs=self.linear, with_labels=False
         )
 
         branch_ub = score
@@ -474,18 +515,26 @@ class _MiningRun:
         """
         stats = self.stats
         filtered = self.filter is not None
+        linear = self.linear
+        best_score = self.best_score
+        num_nodes = pattern.num_nodes
+        num_edges = pattern.num_edges
         key = self._sub_key(pos_res)
         for entry in self.sub_index.get(key, ()):  # discovered before `pattern`
-            if entry.branch_upper_bound >= self.best_score:
+            if entry.branch_upper_bound >= best_score:
                 continue
-            if entry.num_edges < pattern.num_edges:
+            if entry.num_edges < num_edges:
                 continue
-            if not self._residuals_equal(pos_res, entry.pos_residuals):
+            # the residual test; in integer mode the key already passed it
+            stats.residual_equivalence_tests += 1
+            if linear and not linear_scan_equal(
+                pos_res.cut_pairs, entry.pos_residuals.cut_pairs
+            ):
                 continue
             stats.subgraph_tests += 1
             if filtered:
                 # the tester's size check (the edge count passed above)
-                if pattern.num_nodes > entry.num_nodes:
+                if num_nodes > entry.num_nodes:
                     continue
                 stats.index_prefilter_checks += 1
                 if mask & ~entry.mask:
@@ -525,15 +574,25 @@ class _MiningRun:
         """
         stats = self.stats
         filtered = self.filter is not None
+        linear = self.linear
+        best_score = self.best_score
+        num_edges = pattern.num_edges
         key = self._super_key(pos_res, neg_res, pattern.num_nodes)
         for entry in self.super_index.get(key, ()):
-            if entry.branch_upper_bound >= self.best_score:
+            if entry.branch_upper_bound >= best_score:
                 continue
-            if entry.num_edges > pattern.num_edges:
+            if entry.num_edges > num_edges:
                 continue
-            if not self._residuals_equal(pos_res, entry.pos_residuals):
+            # the positive then the negative residual test, as above
+            stats.residual_equivalence_tests += 1
+            if linear and not linear_scan_equal(
+                pos_res.cut_pairs, entry.pos_residuals.cut_pairs
+            ):
                 continue
-            if not self._residuals_equal(neg_res, entry.neg_residuals):
+            stats.residual_equivalence_tests += 1
+            if linear and not linear_scan_equal(
+                neg_res.cut_pairs, entry.neg_residuals.cut_pairs
+            ):
                 continue
             stats.subgraph_tests += 1
             if filtered:
@@ -546,23 +605,17 @@ class _MiningRun:
             return entry.branch_upper_bound
         return None
 
-    def _residuals_equal(self, left: ResidualSummary, right: ResidualSummary) -> bool:
-        self.stats.residual_equivalence_tests += 1
-        if self.config.residual_equivalence == "integer":
-            return left.i_value == right.i_value
-        return linear_scan_equal(left.cut_pairs, right.cut_pairs)
-
     def _sub_key(self, pos_res: ResidualSummary) -> object:
-        if self.config.residual_equivalence == "integer":
-            return pos_res.i_value
-        return len(pos_res.cut_pairs)
+        if self.linear:
+            return len(pos_res.cut_pairs)
+        return pos_res.i_value
 
     def _super_key(
         self, pos_res: ResidualSummary, neg_res: ResidualSummary, num_nodes: int
     ) -> object:
-        if self.config.residual_equivalence == "integer":
-            return (pos_res.i_value, neg_res.i_value, num_nodes)
-        return (len(pos_res.cut_pairs), len(neg_res.cut_pairs), num_nodes)
+        if self.linear:
+            return (len(pos_res.cut_pairs), len(neg_res.cut_pairs), num_nodes)
+        return (pos_res.i_value, neg_res.i_value, num_nodes)
 
     def _remember(
         self,
@@ -572,6 +625,10 @@ class _MiningRun:
         neg_res: ResidualSummary,
         branch_ub: float,
     ) -> None:
+        if branch_ub >= self.saturated:
+            # both probe loops skip such an entry before any counter
+            self.stats.saturated_entries += 1
+            return
         entry = _HistoryEntry(
             pattern=pattern,
             mask=mask,

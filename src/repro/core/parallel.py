@@ -18,8 +18,8 @@ exploits this to shard the search:
   (workers attach to the corpus columns instead of unpickling a private
   copy, see :mod:`repro.core.shm`), inherited copy-on-write under
   ``fork`` — its
-  :class:`~repro.core.graph_index.CandidateFilter` caches (bit
-  positions, pattern masks) persist across all the seeds that worker
+  :class:`~repro.core.graph_index.CandidateFilter` caches (mask bit
+  positions, label indexes) persist across all the seeds that worker
   mines, and so do its interned-label CSR kernels
   (:mod:`repro.core.kernel`), which the run constructor *rebuilds* in
   the worker process: :class:`~repro.core.graph.TemporalGraph` drops its

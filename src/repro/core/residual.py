@@ -24,8 +24,9 @@ suffix sets of interned label ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.core.growth import EmbeddingTable
 from repro.core.kernel import GraphKernel
 
 __all__ = ["ResidualSummary", "summarize_residuals", "linear_scan_equal"]
@@ -59,11 +60,18 @@ class ResidualSummary:
 
 def summarize_residuals(
     kernels: Sequence[GraphKernel],
-    cut_points: Iterable[tuple[int, int]],
+    embeddings: EmbeddingTable,
     keep_cut_pairs: bool = False,
     with_labels: bool = True,
 ) -> ResidualSummary:
-    """Aggregate residual information from match cut points.
+    """Aggregate residual information from a pattern's embedding table.
+
+    Works one graph at a time.  A graph's residual graphs are its
+    *distinct* cut points (residual graphs form a set): with ``m`` edges,
+    the cuts ``C`` contribute ``|C| * (m - 1) - sum(C)`` edges to
+    ``I(G, g)``.  Suffix label sets nest (an earlier cut's residual
+    holds every later cut's edges), so the graph's share of the label
+    set is the smallest cut's suffix set.
 
     Parameters
     ----------
@@ -71,27 +79,31 @@ def summarize_residuals(
         Kernels of the data graph set ``G`` (indexable by graph id), all
         sharing one dataset interner; the label set is read from their
         precomputed suffix sets.
-    cut_points:
-        ``(graph id, last matched edge index)`` per match; duplicates are
-        collapsed because residual graphs form a *set*.
+    embeddings:
+        The pattern's embedding table over ``G``: graph id -> its
+        (non-empty) set of embeddings, each ending in the index of its
+        last matched edge.
     keep_cut_pairs:
-        Materialize the explicit cut-pair tuple for linear-scan equality.
+        Materialize the sorted cut-pair tuple for linear-scan equality.
     with_labels:
         Compute the residual node label set (skippable for negative sets,
         where subgraph pruning never consults labels).
     """
-    distinct = sorted(set(cut_points))
     i_value = 0
-    labels: set[int] = set()
-    for gid, cut in distinct:
+    label_sets: list[frozenset[int]] = []
+    pairs: list[tuple[int, int]] = []
+    for gid, emb_set in embeddings.items():
         kernel = kernels[gid]
-        i_value += kernel.num_edges - (cut + 1)
+        cuts = {emb[1] for emb in emb_set}
+        i_value += len(cuts) * (kernel.num_edges - 1) - sum(cuts)
         if with_labels:
-            labels |= kernel.suffix_label_ids[cut + 1]
+            label_sets.append(kernel.suffix_label_ids[min(cuts) + 1])
+        if keep_cut_pairs:
+            pairs.extend((gid, cut) for cut in cuts)
     return ResidualSummary(
         i_value=i_value,
-        cut_pairs=tuple(distinct) if keep_cut_pairs else None,
-        label_set=frozenset(labels),
+        cut_pairs=tuple(sorted(pairs)) if keep_cut_pairs else None,
+        label_set=frozenset().union(*label_sets),
     )
 
 

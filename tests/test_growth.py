@@ -6,7 +6,6 @@ from itertools import combinations
 from repro.core.growth import (
     Embedding,
     child_pattern,
-    cut_points,
     extend_embeddings,
     seed_patterns,
     sort_extension_keys,
@@ -64,14 +63,6 @@ class TestExtensions:
         assert child_pattern(p, ("f", 1, "C")).edges == ((0, 1), (1, 2))
         assert child_pattern(p, ("b", "C", 0)).edges == ((0, 1), (2, 0))
         assert child_pattern(p, ("i", 1, 0)).edges == ((0, 1), (1, 0))
-
-    def test_cut_points(self):
-        embs = {
-            3: {Embedding((0, 1), 5), Embedding((2, 1), 5)},
-            1: {Embedding((0, 1), 2)},
-        }
-        points = sorted(cut_points(embs))
-        assert points == [(1, 2), (3, 5), (3, 5)]
 
     def test_sort_extension_keys_is_total(self):
         keys = [("i", 1, 0), ("f", 0, "Z"), ("b", "A", 1), ("f", 0, "A")]

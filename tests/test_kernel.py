@@ -28,7 +28,6 @@ from repro.core.graph_index import (
 from repro.core.growth import (
     Embedding,
     child_pattern,
-    cut_points,
     extend_embeddings,
     seed_patterns,
 )
@@ -472,31 +471,31 @@ class TestResidualAndSignatureEquivalence:
         kernels = build_kernels(corpus, interner)
         seeds = seed_patterns(corpus)
         for key in sorted(seeds)[:10]:
-            table = seeds[key]
-            cuts = sorted(set(cut_points(table)))
-            residuals = [corpus[gid].edges[cut + 1 :] for gid, cut in cuts]
-            labels = {
-                interner.id_of(corpus[gid].label(node))
-                for (gid, _cut), edges in zip(cuts, residuals)
-                for edge in edges
-                for node in edge.endpoints()
-            }
-            for keep in (False, True):
-                summary = summarize_residuals(
-                    kernels, cut_points(table), keep_cut_pairs=keep
+            # the seed's table and its children's: several cuts per graph
+            children = extend_embeddings(corpus, seeds[key], kernels)
+            for table in (seeds[key], *children.values()):
+                cuts = sorted(
+                    {(gid, e.last_index) for gid, embs in table.items() for e in embs}
                 )
-                assert summary.i_value == sum(len(edges) for edges in residuals)
-                assert summary.cut_pairs == (tuple(cuts) if keep else None)
-                assert summary.label_set == labels
-            unlabeled = summarize_residuals(
-                kernels, cut_points(table), with_labels=False
-            )
-            assert unlabeled.label_set == frozenset()
+                residuals = [corpus[gid].edges[cut + 1 :] for gid, cut in cuts]
+                labels = {
+                    interner.id_of(corpus[gid].label(node))
+                    for (gid, _cut), edges in zip(cuts, residuals)
+                    for edge in edges
+                    for node in edge.endpoints()
+                }
+                for keep in (False, True):
+                    summary = summarize_residuals(kernels, table, keep_cut_pairs=keep)
+                    assert summary.i_value == sum(len(edges) for edges in residuals)
+                    assert summary.cut_pairs == (tuple(cuts) if keep else None)
+                    assert summary.label_set == labels
+                unlabeled = summarize_residuals(kernels, table, with_labels=False)
+                assert unlabeled.label_set == frozenset()
         # one cut at a time: the union above hides a set that is too big
         # whenever an earlier cut's residual already covers its labels
         for gid, graph in enumerate(corpus):
             for cut in range(-1, graph.num_edges):
-                summary = summarize_residuals(kernels, [(gid, cut)])
+                summary = summarize_residuals(kernels, {gid: {Embedding((0, 1), cut)}})
                 assert summary.label_set == {
                     interner.id_of(graph.label(node))
                     for edge in graph.edges[cut + 1 :]

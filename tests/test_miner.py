@@ -1,8 +1,11 @@
 """Tests for TGMiner: planted patterns, pruning variants, stats, config,
-and that no variant leaves cyclic garbage."""
+that no variant leaves cyclic garbage, that the pruning history's
+saturated-entry rule changes nothing, and that mining restores the
+collector's state."""
 
 import gc
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -10,10 +13,15 @@ from repro.core.errors import MiningError
 from repro.core.graph import TemporalGraph
 from repro.core.miner import (
     MinerConfig,
+    MiningStats,
     TGMiner,
     VARIANT_NAMES,
+    _HistoryEntry,
+    _MiningRun,
     miner_variant,
 )
+from repro.core.parallel import ParallelMiner
+from repro.core.subgraph import SequenceSubgraphTester
 from repro.syscall.collector import build_training_data
 
 from conftest import random_temporal_graph
@@ -169,6 +177,124 @@ class TestNoCyclicGarbage:
         assert result.stats.subgraph_tests > 0
         assert found == 0
         assert garbage == 0
+
+
+class _IndexEveryEntryRun(_MiningRun):
+    """A run whose pruning history indexes every explored pattern, as it
+    did before saturated entries were left out (counted all the same)."""
+
+    def _remember(self, pattern, mask, pos_res, neg_res, branch_ub):
+        if branch_ub >= self.saturated:
+            self.stats.saturated_entries += 1
+        entry = _HistoryEntry(
+            pattern=pattern,
+            mask=mask,
+            num_nodes=pattern.num_nodes,
+            num_edges=pattern.num_edges,
+            pos_residuals=pos_res,
+            neg_residuals=neg_res,
+            branch_upper_bound=branch_ub,
+        )
+        if self.config.subgraph_pruning:
+            self.sub_index.setdefault(self._sub_key(pos_res), []).append(entry)
+        if self.config.supergraph_pruning:
+            key = self._super_key(pos_res, neg_res, pattern.num_nodes)
+            self.super_index.setdefault(key, []).append(entry)
+
+
+def random_mining_sets(seed):
+    """The corpora of ``test_all_variants_agree_on_random_data``."""
+    rng = random.Random(seed)
+    pos = [random_temporal_graph(rng, 4, 7, "ABC") for _ in range(4)]
+    neg = [random_temporal_graph(rng, 4, 7, "ABC") for _ in range(4)]
+    return pos, neg
+
+
+def assert_history_exact(config, pos, neg):
+    """The product run equals the index-everything run in every output
+    and counter, and indexes no saturated entry."""
+    reference = _IndexEveryEntryRun(config, pos, neg).execute()
+    result = TGMiner(config).mine(pos, neg)
+    assert result.best_score == reference.best_score
+    assert result.best == reference.best
+    assert result.best_by_size == reference.best_by_size
+    for stat in fields(MiningStats):
+        if stat.name != "elapsed_seconds":
+            assert getattr(result.stats, stat.name) == getattr(
+                reference.stats, stat.name
+            ), stat.name
+    run = _MiningRun(config, pos, neg)
+    run.execute()
+    ceiling = run.score_fn.upper_bound(1.0)
+    for index in (run.sub_index, run.super_index):
+        for entries in index.values():
+            assert all(e.branch_upper_bound < ceiling for e in entries)
+    return result.stats
+
+
+class TestSaturatedHistoryEntries:
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_data(self, name, seed):
+        pos, neg = random_mining_sets(seed)
+        base = MinerConfig(max_edges=3, min_pos_support=0.5, max_best_patterns=10_000)
+        assert_history_exact(miner_variant(name, base), pos, neg)
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_small_corpus(self, small_corpus, name):
+        config = miner_variant(name, MinerConfig(max_edges=3))
+        stats = assert_history_exact(
+            config, small_corpus.behavior("bzip2-decompress"), small_corpus.background
+        )
+        # the behavior reaches the maximum score: some entries saturate
+        assert stats.saturated_entries > 0
+        assert stats.subgraph_tests > 0
+
+
+class TestCollectorState:
+    """Mining pauses the cyclic collector and restores the caller's state."""
+
+    @pytest.fixture
+    def corpus(self, small_corpus):
+        return small_corpus.behavior("bzip2-decompress"), small_corpus.background
+
+    def test_enabled_after_mine(self, corpus):
+        assert gc.isenabled()
+        TGMiner(MinerConfig(max_edges=3)).mine(*corpus)
+        assert gc.isenabled()
+
+    def test_enabled_after_tester_raises(self, corpus, monkeypatch):
+        seen = []
+
+        def failing(self, small, big):
+            seen.append(gc.isenabled())
+            raise RuntimeError("tester failed")
+
+        monkeypatch.setattr(SequenceSubgraphTester, "mapping", failing)
+        with pytest.raises(RuntimeError, match="tester failed"):
+            TGMiner(MinerConfig(max_edges=3)).mine(*corpus)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_after_one_worker_parallel_mine(self, corpus):
+        ParallelMiner(MinerConfig(max_edges=3), workers=1).mine(*corpus)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "miner",
+        [
+            TGMiner(MinerConfig(max_edges=3)),
+            ParallelMiner(MinerConfig(max_edges=3), workers=1),
+        ],
+        ids=["serial", "one-worker"],
+    )
+    def test_disabled_collector_stays_disabled(self, corpus, miner):
+        gc.disable()
+        try:
+            miner.mine(*corpus)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestStats:
