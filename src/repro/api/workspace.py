@@ -507,8 +507,8 @@ class Workspace:
         multi-tenant :class:`~repro.serving.DetectionFleet` (events route
         by tenant key — ``src_key`` prefix before ``"|"`` by default —
         and extra keyword options like ``runner``, ``queue_depth``,
-        ``tenant_key``, ``assign``, ``start_method`` forward to the
-        fleet constructor).  Either way the returned
+        ``tenant_key``, ``assign`` forward to the fleet constructor).
+        Either way the returned
         :class:`~repro.serving.ServingHandle` satisfies the
         :class:`~repro.serving.Ingestor` protocol by delegation — ready
         to ``ingest``/``replay`` — and adds the deployment lifecycle:

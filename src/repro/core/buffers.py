@@ -2,19 +2,18 @@
 
 The data plane stores every flat edge column (``src`` / ``dst`` / ``time``,
 see :mod:`repro.core.kernel`) as a **contiguous signed-64-bit buffer**
-rather than a Python list.  One storage representation serves three
-consumers with three different access patterns:
+rather than a Python list.  One storage representation serves two
+consumers with different access patterns:
 
 * scalar loops (embedding growth, the fallback join) index the buffer
   directly — ``array('q')`` hands back plain ints at near-list speed;
 * the vectorized matcher wraps the same bytes **zero-copy** into numpy
   arrays (:func:`as_ndarray` uses ``np.frombuffer``) when numpy is
   installed, so masks and ``searchsorted`` run at C speed without any
-  conversion pass;
-* :mod:`repro.core.shm` maps the same layout into
-  ``multiprocessing.shared_memory`` segments, where a worker's columns
-  are read-only ``memoryview`` slices of the shared block — again
-  zero-copy, and again satisfying both consumers above.
+  conversion pass.
+
+The corpus store decodes its pages into the same layout, as int64
+``memoryview`` casts of the stored blobs.
 
 **Backend selection.**  numpy is an optional dependency (the ``fast``
 extra).  :func:`active_numpy` returns the module when it is importable
@@ -29,7 +28,7 @@ stays testable on machines that have numpy:
 
 An ``IntColumn`` is duck-typed: anything indexable yielding ints with a
 buffer-protocol int64 layout (``array('q')``, a cast ``memoryview`` of a
-shared segment, or an int64 ``np.ndarray``).  Columns are append-only
+store page, or an int64 ``np.ndarray``).  Columns are append-only
 while owned by a builder (:class:`~repro.serving.streaming.StreamingGraph`
 appends and slices in place) and immutable-by-convention everywhere else.
 """
@@ -131,7 +130,7 @@ def as_ndarray(column: IntColumn):
     """A zero-copy int64 ndarray over ``column``, or ``None`` without numpy.
 
     ``array('q')``, int64 ndarrays, and cast memoryviews (including
-    read-only shared-memory views) all share their bytes with the result;
+    read-only views of store pages) all share their bytes with the result;
     a plain list (legacy callers) is copied.  The returned array must be
     treated as read-only — it aliases the column's storage.
     """

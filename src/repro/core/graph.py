@@ -74,8 +74,8 @@ class TemporalGraph:
         self._pair_edges: dict[tuple[str, str], list[int]] = {}
         # Array-backed data plane (repro.core.kernel): contiguous int64
         # buffers (repro.core.buffers), built lazily on first use and
-        # never pickled — workers rebuild after fork/spawn, or receive
-        # read-only shared-memory views via from_frozen_columns().
+        # never pickled — pool workers rebuild them, and the corpus
+        # store hands in read-only page views via from_frozen_columns().
         self._col_src: IntColumn | None = None
         self._col_dst: IntColumn | None = None
         self._col_time: IntColumn | None = None
@@ -239,9 +239,10 @@ class TemporalGraph:
         The columns are contiguous int64 buffers (see
         :mod:`repro.core.buffers`): built once on first access and
         cached, or — for graphs reconstructed by
-        :meth:`from_frozen_columns` — read-only views into a shared
-        memory segment.  They are what the joins of
-        :mod:`repro.core.graph_index` scan instead of per-edge objects.
+        :meth:`from_frozen_columns` — the columns handed in there, such
+        as read-only views of a corpus-store page.  They are what the
+        joins of :mod:`repro.core.graph_index` scan instead of per-edge
+        objects.
         """
         self._require_frozen()
         if self._col_src is None:
@@ -325,7 +326,7 @@ class TemporalGraph:
     def __getstate__(self) -> dict:
         # The kernel and flat edge columns are cheap, deterministic
         # derivations; shipping them to pool workers would pickle every
-        # column twice (and shared-memory views cannot pickle at all).
+        # column twice (and memoryview columns cannot pickle at all).
         # Workers rebuild them lazily on first use.
         state = self.__dict__.copy()
         state["_kernel"] = None
@@ -358,10 +359,10 @@ class TemporalGraph:
         strictly increasing timestamps, endpoints in ``0..len(labels)-1``
         — exactly what :meth:`edge_arrays` of a frozen graph returns.
         They are adopted as the graph's cached columns *without copying*,
-        so read-only shared-memory views stay shared (the
-        :mod:`repro.core.shm` attach path); only the object-layer indexes
-        are rebuilt locally.  No validation re-runs — the publisher froze
-        the original, and freezing is deterministic.
+        so read-only views of a corpus-store page stay views (the
+        :class:`~repro.datasets.store.CorpusStore` decode path); only the
+        object-layer indexes are rebuilt locally.  No validation re-runs —
+        the writer froze the original, and freezing is deterministic.
         """
         graph = cls(name=name)
         graph._labels = list(labels)

@@ -123,7 +123,7 @@ def _extend_in_kernel(
     ``out_dsts``/``in_srcs`` twin lists, not from the edge columns —
     list reads beat buffer scalar access in this loop (the columns'
     buffer layout earns its keep in the vectorized matcher and the
-    shared-memory corpus, not here).
+    store decode, not here).
 
     Emission is the dominant cost at data scale, so the inner loops cut
     it down: rows are built through the C-level ``tuple.__new__`` (they

@@ -15,9 +15,8 @@ arrays:
 * ``edge_src`` / ``edge_dst`` / ``edge_time`` — flat, time-sorted edge
   columns (position ``i`` is edge index ``i``), stored as contiguous
   int64 buffers (:mod:`repro.core.buffers`): scalar loops read them at
-  near-list speed, the vectorized matcher wraps them zero-copy into
-  numpy arrays, and :mod:`repro.core.shm` maps the same layout into
-  shared memory for pickle-free parallel mining;
+  near-list speed and the vectorized matcher wraps them zero-copy into
+  numpy arrays;
 * ``out_indptr``/``out_indices`` and ``in_indptr``/``in_indices`` — CSR
   adjacency: the edge indexes leaving/entering node ``n`` are
   ``indices[indptr[n]:indptr[n + 1]]``, ascending, so "incident edges
@@ -132,7 +131,7 @@ class GraphKernel:
     (graphs cache their kernel — see :meth:`TemporalGraph.kernel`) and
     read by every hot path afterwards.  The edge columns are contiguous
     int64 buffers shared with the owning graph's :meth:`edge_arrays`
-    (possibly read-only shared-memory views); CSR runs and label-id
+    (possibly read-only views of store pages); CSR runs and label-id
     tables are plain lists / frozensets.  The kernel itself is immutable
     by convention.
     """

@@ -13,19 +13,16 @@ exploits this to shard the search:
   partitioned into per-seed tasks (a seed = one ``(src label, dst
   label)`` pair passing the positive-support floor, in sorted order);
 * each pool worker owns a single :class:`~repro.core.miner._MiningRun`
-  built once from the training graphs — published through one
-  read-only shared-memory segment under the ``spawn`` start method
-  (workers attach to the corpus columns instead of unpickling a private
-  copy, see :mod:`repro.core.shm`), inherited copy-on-write under
-  ``fork`` — its
+  built once from the training graphs and the task seeds' embedding
+  tables (inherited under ``fork``, unpickled from one shared blob
+  otherwise, see :func:`run_sharded`): its
   :class:`~repro.core.graph_index.CandidateFilter` caches (mask bit
   positions, label indexes) persist across all the seeds that worker
   mines, and so do its interned-label CSR kernels
-  (:mod:`repro.core.kernel`), which the run constructor *rebuilds* in
-  the worker process: :class:`~repro.core.graph.TemporalGraph` drops its
-  kernel cache on pickling, so kernels are never shipped, only derived
-  locally from the (shared or unpickled) graphs — and every task seed is
-  explored with a *fresh* pruning history
+  (:mod:`repro.core.kernel`), which the run constructor builds in the
+  worker process (:class:`~repro.core.graph.TemporalGraph` drops its
+  kernel cache on pickling, so kernels are never shipped) — and every
+  task seed is explored with a *fresh* pruning history
   (:meth:`~repro.core.miner._MiningRun.reset`);
 * the parent merges per-seed results deterministically in sorted seed
   order (:func:`merge_seed_results`), re-applying the serial miner's
@@ -54,6 +51,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields
@@ -70,13 +68,7 @@ from repro.core.miner import (
     MiningStats,
     _MiningRun,
 )
-from repro.core.shm import (
-    AttachedCorpus,
-    CorpusDescriptor,
-    SharedSeedTable,
-    attach_corpus,
-    publish_corpus,
-)
+from repro.core.shm import BlobDescriptor, publish_blob, read_blob
 
 __all__ = [
     "SeedResult",
@@ -100,17 +92,14 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def resolve_start_method(start_method: str | None = None) -> str:
-    """Pick a multiprocessing start method.
+def resolve_start_method() -> str:
+    """The platform's multiprocessing start method for worker pools.
 
-    ``fork`` is preferred on Linux: workers inherit the training graphs
-    copy-on-write instead of unpickling a private copy.  Everywhere else
-    ``spawn`` is used (and exercises the pickled-graphs path) — macOS
-    offers fork but CPython made spawn its default there because forking
-    after system frameworks load is unsafe.
+    ``fork`` on Linux: workers inherit their start-up state copy-on-write
+    instead of unpickling a private copy.  Everywhere else ``spawn`` —
+    macOS offers fork but CPython made spawn its default there because
+    forking after system frameworks load is unsafe.
     """
-    if start_method is not None:
-        return start_method
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return "spawn"
@@ -122,7 +111,6 @@ def run_sharded(
     workers: int,
     initializer: Callable[..., None],
     initargs: tuple,
-    start_method: str | None = None,
     deadline_seconds: float | None = None,
 ) -> list[_R]:
     """Map ``tasks`` through a worker pool, inline when one worker suffices.
@@ -132,6 +120,16 @@ def run_sharded(
     keeps results trivially identical to any other worker count).  Module
     globals set by ``initializer`` are left in place after an inline run;
     every call re-initializes, so stale state cannot leak between runs.
+
+    This is the one place that decides how pool workers get their
+    start-up state.  Under ``fork`` they inherit ``initargs``.  Under any
+    other start method ``(initializer, initargs)`` is pickled once into
+    one shared-memory blob (:func:`repro.core.shm.publish_blob`), the
+    pool receives only its descriptor, and every worker unpickles the
+    state itself: a spawned worker's arguments travel through its
+    start-up pipe in one blocking write, so large ones would start the
+    workers one at a time.  The blob is unlinked when the pool is done,
+    also when a task raised.
 
     ``deadline_seconds`` is a soft budget for the whole map: once it is
     exceeded, remaining tasks are abandoned (the pool is terminated) and
@@ -154,18 +152,33 @@ def run_sharded(
             if deadline is not None and time.perf_counter() > deadline:
                 break
         return results
-    ctx = multiprocessing.get_context(resolve_start_method(start_method))
-    with ctx.Pool(
-        processes=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        if deadline is None:
-            return pool.map(task_fn, tasks, chunksize=1)
-        results = []
-        for result in pool.imap(task_fn, tasks, chunksize=1):
-            results.append(result)
-            if time.perf_counter() > deadline:
-                break
-        return results
+    method = resolve_start_method()
+    handle = None
+    if method != "fork":
+        blob = pickle.dumps((initializer, initargs), pickle.HIGHEST_PROTOCOL)
+        descriptor, handle = publish_blob(blob)
+        initializer, initargs = _init_from_blob, (descriptor,)
+    try:
+        with multiprocessing.get_context(method).Pool(
+            processes=workers, initializer=initializer, initargs=initargs
+        ) as pool:
+            if deadline is None:
+                return pool.map(task_fn, tasks, chunksize=1)
+            results = []
+            for result in pool.imap(task_fn, tasks, chunksize=1):
+                results.append(result)
+                if time.perf_counter() > deadline:
+                    break
+            return results
+    finally:
+        if handle is not None:
+            handle.unlink()
+
+
+def _init_from_blob(descriptor: BlobDescriptor) -> None:
+    """Pool initializer of a non-fork pool: run the published initializer."""
+    initializer, initargs = pickle.loads(read_blob(descriptor))
+    initializer(*initargs)
 
 
 # ----------------------------------------------------------------------
@@ -179,11 +192,9 @@ class _WorkerState:
     """One pool worker's mining state, built once per process.
 
     Owns a :class:`_MiningRun` (hence one CandidateFilter + tester whose
-    caches serve every seed this worker mines) and the full
-    seed table — handed over from the parent, which already enumerated
-    it to build the task list (free under ``fork``, pickled once per
-    worker under ``spawn``); recomputed locally only if absent.  Tasks
-    themselves stay label-pair-sized either way.
+    caches serve every seed this worker mines) and the embedding tables
+    of the task seeds, which the parent already enumerated to build the
+    task list.  Tasks themselves stay label-pair-sized.
     """
 
     def __init__(
@@ -191,26 +202,16 @@ class _WorkerState:
         config: MinerConfig,
         positives: Sequence[TemporalGraph],
         negatives: Sequence[TemporalGraph],
-        seeds: "dict[SeedKey, EmbeddingTable] | SharedSeedTable | None" = None,
+        seeds: dict[SeedKey, EmbeddingTable],
     ) -> None:
-        for graph in list(positives) + list(negatives):
-            if not graph.frozen:
-                graph.freeze()
         self.run = _MiningRun(config, positives, negatives)
-        # pins the shared-memory mapping while the state is alive
-        # (attached graphs alias it); None for pickled/forked corpora
-        self.corpus: AttachedCorpus | None = None
-        self.seeds: "dict[SeedKey, EmbeddingTable] | SharedSeedTable" = (
-            seeds
-            if seeds is not None
-            else seed_patterns(list(positives) + list(negatives))
-        )
+        self.seeds = seeds
 
     def mine_seed(self, seed: SeedKey) -> "SeedResult":
         run = self.run
         run.reset()
         started = time.perf_counter()
-        run.run_seed(seed[0], seed[1], self.seeds.get(seed, {}))
+        run.run_seed(seed[0], seed[1], self.seeds[seed])
         run.stats.elapsed_seconds = time.perf_counter() - started
         return SeedResult(
             seed=seed,
@@ -225,24 +226,10 @@ def _init_worker(
     config: MinerConfig,
     positives: Sequence[TemporalGraph],
     negatives: Sequence[TemporalGraph],
-    seeds: dict[SeedKey, EmbeddingTable] | None = None,
+    seeds: dict[SeedKey, EmbeddingTable],
 ) -> None:
     global _STATE
-    _STATE = _WorkerState(config, positives, negatives, seeds=seeds)
-
-
-def _init_worker_shared(config: MinerConfig, descriptor: CorpusDescriptor) -> None:
-    """Pool initializer for the shared-memory corpus path.
-
-    Only the descriptor is pickled; the graphs and seed tables are
-    rebuilt over the parent's read-only segment (:func:`attach_corpus`).
-    """
-    global _STATE
-    corpus = attach_corpus(descriptor)
-    _STATE = _WorkerState(
-        config, corpus.positives, corpus.negatives, seeds=corpus.seeds
-    )
-    _STATE.corpus = corpus
+    _STATE = _WorkerState(config, positives, negatives, seeds)
 
 
 def _mine_seed_task(seed: SeedKey) -> "SeedResult":
@@ -378,31 +365,22 @@ class ParallelMiner:
 
     ``workers`` defaults to the CPU count; ``workers=1`` runs the same
     seed-isolated search inline (no pool), which guarantees results are
-    invariant to the worker count.  ``start_method`` overrides the
-    multiprocessing start method (``fork`` where available, else
-    ``spawn``).
-
-    Pooled ``spawn`` runs publish the training graphs and seed tables
-    through one read-only shared-memory segment (:mod:`repro.core.shm`),
-    where workers would otherwise each unpickle a private copy.  ``fork``
-    pools keep plain copy-on-write inheritance: the pool initializer's
-    arguments are never pickled there, and a segment would only add
-    copies.  Either way the mined result is byte-identical (the segment
-    carries the exact frozen columns).
+    invariant to the worker count.  Pools start on the platform's start
+    method, and :func:`run_sharded` decides how the workers receive the
+    training graphs and seed tables; the mined result is byte-identical
+    either way.
     """
 
     def __init__(
         self,
         config: MinerConfig | None = None,
         workers: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         self.config = config or MinerConfig()
         self.config.validate()
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise MiningError("workers must be >= 1")
-        self.start_method = start_method
 
     # ------------------------------------------------------------------
     def mine(
@@ -430,54 +408,22 @@ class ParallelMiner:
         # deadline (workers cannot see each other's clocks), and the
         # parent stops dispatching once the budget is spent, so the
         # wall-clock overshoot is bounded by the in-flight subtrees.
-        use_shm = (
-            min(self.workers, len(tasks)) > 1
-            and resolve_start_method(self.start_method) == "spawn"
-        )
-        handle = None
         try:
-            if use_shm:
-                descriptor, handle = publish_corpus(
-                    positives, negatives, seeds=task_seeds
-                )
-                initializer, initargs = _init_worker_shared, (self.config, descriptor)
-            else:
-                initializer, initargs = _init_worker, (
-                    self.config, positives, negatives, task_seeds,
-                )
             results = run_sharded(
                 tasks,
                 _mine_seed_task,
                 workers=self.workers,
-                initializer=initializer,
-                initargs=initargs,
-                start_method=self.start_method,
+                initializer=_init_worker,
+                initargs=(self.config, positives, negatives, task_seeds),
                 deadline_seconds=self.config.max_seconds,
             )
         finally:
             _clear_worker_state()
-            if handle is not None:
-                # also runs when a worker crashed mid-map: nothing may
-                # outlive the pool in /dev/shm
-                handle.unlink()
         merged = merge_seed_results(results, self.config)
         if len(results) < len(tasks):
             merged.stats.timed_out = True
         merged.stats.elapsed_seconds = time.perf_counter() - started
         return merged
-
-    def seed_tasks(
-        self,
-        positives: Sequence[TemporalGraph],
-        negatives: Sequence[TemporalGraph],
-    ) -> list[SeedKey]:
-        """Sorted seed keys passing the positive-support floor.
-
-        This is exactly the set of seeds the serial miner would explore
-        (its loop skips under-supported seeds before descending).
-        """
-        seeds = seed_patterns(list(positives) + list(negatives))
-        return self._filter_tasks(seeds, len(positives))
 
     def _filter_tasks(
         self, seeds: dict[SeedKey, EmbeddingTable], n_pos: int

@@ -1,128 +1,67 @@
-"""Zero-copy shared-memory corpus publication for parallel mining.
+"""One shared-memory blob: start-up state for worker processes.
 
-Under the ``spawn`` start method every pool worker normally unpickles a
-private copy of the training corpus — graph objects, indexes, and seed
-embedding tables — which dominates startup for any real dataset.  This
-module exploits the data plane's flat-buffer layout
-(:mod:`repro.core.buffers`) instead: the parent packs the corpus into
-**one** ``multiprocessing.shared_memory`` segment of int64 words and
-ships only a small picklable :class:`CorpusDescriptor`; workers attach
-and rebuild their graphs *over* the shared bytes.
+A ``spawn`` worker receives its arguments through its start-up pipe,
+which CPython fills with one blocking ``write``.  Past the 64 KiB pipe
+buffer the parent waits until that child has read everything, so a
+pool whose initializer arguments carry a corpus starts its workers one
+at a time.  :func:`repro.core.parallel.run_sharded` therefore pickles a
+pool's start-up state once into one segment (:func:`publish_blob`) and
+hands each worker only the small :class:`BlobDescriptor`; the worker
+reads the payload (:func:`read_blob`) and unpickles the state itself.
+The detection fleet ships its query slate the same way.
 
-Layout (all offsets are 8-byte words into the segment):
-
-* per graph, in corpus order (positives then negatives): the node
-  label-id column, then the ``src`` / ``dst`` / ``time`` edge columns —
-  exactly the kernel's :data:`~repro.core.kernel.EdgeArrays` layout, so
-  an attached graph's columns *are* read-only views of the segment and
-  its :class:`~repro.core.kernel.GraphKernel` (and the vectorized
-  matcher) wrap them zero-copy;
-* the seed embedding tables, flattened to ``(node0, node1, last_index)``
-  triples per ``(seed, graph)`` group; workers materialize one seed's
-  table lazily when that seed is mined (:class:`SharedSeedTable`), never
-  the whole table.
-
-Node labels travel as the corpus :class:`~repro.core.kernel.LabelInterner`
-snapshot inside the descriptor (strings cannot live in the int segment),
-preserving first-encounter id order.
-
-**Lifecycle contract.**  The parent owns the segment: it creates it via
-:func:`publish_corpus`, keeps the returned :class:`CorpusHandle` alive
-for the pool's lifetime, and calls :meth:`CorpusHandle.unlink` in a
-``finally`` — also covering worker crashes, since the pool error
-propagates through the same frame.  Workers (and inline runs) call
-:func:`attach_corpus` and treat the mapping as **read-only**: on Linux
-the attachment is an ``mmap.ACCESS_READ`` mapping of the segment's
-``/dev/shm`` file (read-only at the OS level), elsewhere a
-``SharedMemory`` attachment wrapped in ``memoryview.toreadonly()``
-views — either way a stray write raises instead of corrupting a
-sibling worker.  Attachers never unlink.  The mmap route also
-sidesteps a CPython ≤ 3.12 wart: ``SharedMemory(name=...)``
-*attachments* register with the ``resource_tracker`` too, and
-concurrent register/unregister of one name from several workers races
-the tracker's set-based cache (stderr ``KeyError`` noise at exit); the
-fallback path unregisters immediately, which is as much as that API
-allows.
+**Lifecycle contract.**  The publisher owns the segment: it keeps the
+returned :class:`BlobHandle` while workers may still read it and calls
+:meth:`BlobHandle.unlink` in a ``finally`` — which also covers worker
+crashes, since the pool error propagates through the same frame.
+Readers never unlink.  On Linux a reader opens the segment's
+``/dev/shm`` file read-only, without touching the ``resource_tracker``:
+in CPython ≤ 3.12 ``SharedMemory(name=...)`` *attachments* register
+with the tracker too, and concurrent register/unregister of one name
+from several workers races the tracker's set-based cache (stderr
+``KeyError`` noise at exit).  The fallback for other platforms attaches
+through ``SharedMemory`` and unregisters at once, which is as much as
+that API allows.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Sequence
-
-from repro.core.buffers import INT_BYTES, INT_TYPECODE, int_column
-from repro.core.errors import MiningError
-from repro.core.graph import TemporalGraph
-from repro.core.growth import Embedding, EmbeddingTable
-from repro.core.kernel import LabelInterner
 
 __all__ = [
-    "CorpusDescriptor",
-    "CorpusHandle",
-    "AttachedCorpus",
-    "GraphBlock",
-    "SharedSeedTable",
     "BlobDescriptor",
-    "AttachedBlob",
-    "publish_corpus",
-    "attach_corpus",
+    "BlobHandle",
     "publish_blob",
-    "attach_blob",
+    "read_blob",
 ]
 
-SeedKey = tuple[str, str]
-
 
 @dataclass(frozen=True)
-class GraphBlock:
-    """Where one graph's columns live inside the segment."""
+class BlobDescriptor:
+    """Where an opaque byte payload lives: segment name + true length.
 
-    name: str
-    num_nodes: int
-    num_edges: int
-    offset: int  # word offset of the node label-id column; src/dst/time follow
-
-
-@dataclass(frozen=True)
-class CorpusDescriptor:
-    """Everything a worker needs to attach: segment name + offset map.
-
-    This is the only thing pickled per worker; its size is proportional
-    to the number of graphs and distinct seed label pairs, never to the
-    number of edges or embeddings.
+    The length travels in the descriptor because shared-memory segments
+    round their size up to the page, so a reader cannot recover the
+    payload boundary from the segment alone.
     """
 
     shm_name: str
-    labels: tuple[str, ...]  # interner snapshot, id order
-    num_positives: int
-    graphs: tuple[GraphBlock, ...]
-    # seed key -> ((graph id, word offset, embedding count), ...)
-    seeds: dict[SeedKey, tuple[tuple[int, int, int], ...]]
-    total_words: int
+    size: int
 
 
-class CorpusHandle:
-    """The parent's ownership token for one published segment."""
+class BlobHandle:
+    """The publisher's ownership token for one segment."""
 
     def __init__(self, shm: shared_memory.SharedMemory) -> None:
         self._shm: shared_memory.SharedMemory | None = shm
 
-    @property
-    def name(self) -> str:
-        """The segment's name (for tests inspecting ``/dev/shm``)."""
-        if self._shm is None:
-            raise MiningError("shared corpus already unlinked")
-        return self._shm.name
-
     def unlink(self) -> None:
         """Close and remove the segment; idempotent.
 
-        After this, attached workers keep their live mappings (POSIX
-        keeps the memory until the last unmap) but no new attach can
-        succeed and nothing is left behind in ``/dev/shm``.
+        After this no new read can succeed and nothing is left behind in
+        ``/dev/shm``.
         """
         if self._shm is None:
             return
@@ -134,117 +73,11 @@ class CorpusHandle:
             pass
 
 
-class SharedSeedTable:
-    """Lazy per-seed view of the packed embedding triples.
+def publish_blob(payload: bytes) -> tuple[BlobDescriptor, BlobHandle]:
+    """Copy ``payload`` into a new segment.
 
-    Quacks like the ``dict[SeedKey, EmbeddingTable]`` the worker state
-    expects (``get``/``in``/iteration) but materializes one seed's
-    table only when that seed is actually mined, from the shared
-    triples — a worker assigned 3 of 200 seeds never pays for the other
-    197.  Materialized tables are cached: the worker's mining run hands
-    the same table to every growth pass of that seed.
-    """
-
-    def __init__(
-        self,
-        words: memoryview,
-        index: dict[SeedKey, tuple[tuple[int, int, int], ...]],
-    ) -> None:
-        self._words = words
-        self._index = index
-        self._cache: dict[SeedKey, EmbeddingTable] = {}
-
-    def get(
-        self, key: SeedKey, default: EmbeddingTable | None = None
-    ) -> EmbeddingTable | None:
-        table = self._cache.get(key)
-        if table is not None:
-            return table
-        entry = self._index.get(key)
-        if entry is None:
-            return default
-        words = self._words
-        table = {}
-        for gid, offset, count in entry:
-            embeddings = set()
-            for i in range(offset, offset + 3 * count, 3):
-                embeddings.add(
-                    Embedding((words[i], words[i + 1]), words[i + 2])
-                )
-            table[gid] = embeddings
-        self._cache[key] = table
-        return table
-
-    def __getitem__(self, key: SeedKey) -> EmbeddingTable:
-        table = self.get(key)
-        if table is None:
-            raise KeyError(key)
-        return table
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._index
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-@dataclass
-class AttachedCorpus:
-    """A worker's view of a published corpus.
-
-    Keep this object alive as long as any of its graphs is in use — the
-    graphs' edge columns alias the mapping.  ``seeds`` is ``None`` when
-    the publisher packed no seed tables.
-    """
-
-    positives: list[TemporalGraph]
-    negatives: list[TemporalGraph]
-    seeds: SharedSeedTable | None
-    # the mmap (Linux) or SharedMemory (fallback) keeping the bytes alive
-    _mapping: object
-    _words: memoryview
-
-
-@dataclass(frozen=True)
-class BlobDescriptor:
-    """Where an opaque byte payload lives: segment name + true length.
-
-    The length travels in the descriptor because shared-memory segments
-    round their size up to the page, so the attachment cannot recover the
-    payload boundary from the mapping alone.
-    """
-
-    shm_name: str
-    size: int
-
-
-@dataclass
-class AttachedBlob:
-    """A worker's read-only view of a published byte payload.
-
-    ``data`` aliases the mapping — keep the object alive while the bytes
-    are in use, exactly like :class:`AttachedCorpus`.
-    """
-
-    data: memoryview
-    _mapping: object
-
-    def to_bytes(self) -> bytes:
-        """Copy the payload out (safe to use after the mapping dies)."""
-        return bytes(self.data)
-
-
-def publish_blob(payload: bytes) -> tuple[BlobDescriptor, CorpusHandle]:
-    """Publish one opaque byte payload through a shared-memory segment.
-
-    The small-descriptor/parent-owned-handle lifecycle is identical to
-    :func:`publish_corpus` — this is the same spawn machinery applied to
-    non-columnar cargo (the detection fleet ships its registered query
-    slate this way: serialized once, attached read-only by every shard
-    worker instead of being pickled per worker).
+    Returns the descriptor to ship to workers and the handle the
+    publisher must eventually :meth:`~BlobHandle.unlink`.
     """
     shm = shared_memory.SharedMemory(create=True, size=max(len(payload), 1))
     try:
@@ -253,170 +86,21 @@ def publish_blob(payload: bytes) -> tuple[BlobDescriptor, CorpusHandle]:
         shm.close()
         shm.unlink()
         raise
-    return BlobDescriptor(shm_name=shm.name, size=len(payload)), CorpusHandle(shm)
+    return BlobDescriptor(shm_name=shm.name, size=len(payload)), BlobHandle(shm)
 
 
-def attach_blob(descriptor: BlobDescriptor) -> AttachedBlob:
-    """Map a published payload read-only (same discipline as corpora).
-
-    Linux attaches via a read-only mmap of the segment's ``/dev/shm``
-    file, sidestepping the resource tracker entirely; the fallback
-    attaches through :class:`~multiprocessing.shared_memory.SharedMemory`
-    and unregisters, as :func:`attach_corpus` does.  Attachers never
-    unlink — the publisher's :class:`CorpusHandle` owns the segment.
-    """
-    mapping: object
+def read_blob(descriptor: BlobDescriptor) -> bytes:
+    """A copy of a published payload."""
     path = os.path.join("/dev/shm", descriptor.shm_name.lstrip("/"))
     if os.path.exists(path):
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        finally:
-            os.close(fd)
-        buf = memoryview(mapping)
-    else:  # pragma: no cover - non-Linux fallback
-        shm = shared_memory.SharedMemory(name=descriptor.shm_name)
-        resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-        mapping = shm
-        buf = shm.buf
-    return AttachedBlob(
-        data=buf[: descriptor.size].toreadonly(), _mapping=mapping
-    )
-
-
-def publish_corpus(
-    positives: Sequence[TemporalGraph],
-    negatives: Sequence[TemporalGraph],
-    seeds: dict[SeedKey, EmbeddingTable] | None = None,
-) -> tuple[CorpusDescriptor, CorpusHandle]:
-    """Pack a training corpus (and optionally seed tables) into one segment.
-
-    All graphs must be frozen (their columns are read via
-    :meth:`~repro.core.graph.TemporalGraph.edge_arrays`).  Returns the
-    descriptor to ship to workers and the handle the parent must
-    eventually :meth:`~CorpusHandle.unlink`.
-    """
-    graphs = list(positives) + list(negatives)
-    interner = LabelInterner()
-    blocks: list[GraphBlock] = []
-    columns: list = []  # buffers to copy, in segment order
-    cursor = 0
-    for graph in graphs:
-        if not graph.frozen:
-            graph.freeze()
-        base, src, dst, times = graph.edge_arrays()
-        assert base == 0, "frozen graphs index edges from zero"
-        label_ids = int_column(interner.intern(label) for label in graph.labels)
-        blocks.append(
-            GraphBlock(
-                name=graph.name,
-                num_nodes=len(label_ids),
-                num_edges=len(src),
-                offset=cursor,
-            )
-        )
-        columns.extend((label_ids, src, dst, times))
-        cursor += len(label_ids) + 3 * len(src)
-
-    seed_index: dict[SeedKey, tuple[tuple[int, int, int], ...]] = {}
-    if seeds is not None:
-        for key in sorted(seeds):
-            groups = []
-            for gid in sorted(seeds[key]):
-                packed = int_column(
-                    word
-                    for emb in sorted(seeds[key][gid])
-                    for word in (emb.nodes[0], emb.nodes[1], emb.last_index)
-                )
-                count = len(packed) // 3
-                groups.append((gid, cursor, count))
-                columns.append(packed)
-                cursor += len(packed)
-            seed_index[key] = tuple(groups)
-
-    shm = shared_memory.SharedMemory(create=True, size=max(cursor, 1) * INT_BYTES)
-    try:
-        words = memoryview(shm.buf).cast(INT_TYPECODE)
-        try:
-            pos = 0
-            for column in columns:
-                n = len(column)
-                if n:
-                    words[pos : pos + n] = memoryview(column)
-                pos += n
-        finally:
-            words.release()
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    descriptor = CorpusDescriptor(
-        shm_name=shm.name,
-        labels=interner.snapshot(),
-        num_positives=len(list(positives)),
-        graphs=tuple(blocks),
-        seeds=seed_index,
-        total_words=cursor,
-    )
-    return descriptor, CorpusHandle(shm)
-
-
-def attach_corpus(descriptor: CorpusDescriptor) -> AttachedCorpus:
-    """Map a published corpus read-only and rebuild its graphs over it.
-
-    The rebuilt graphs' edge columns are read-only memoryview slices of
-    the shared mapping (their kernels and the vectorized matcher wrap
-    them zero-copy); node labels are rehydrated from the descriptor's
-    interner snapshot.  The attachment is unregistered from the resource
-    tracker — only the publishing parent may unlink.
-    """
-    mapping: object
-    path = os.path.join("/dev/shm", descriptor.shm_name.lstrip("/"))
-    if os.path.exists(path):
-        # Linux: map the segment's backing file directly, read-only at
-        # the OS level, without touching the resource tracker at all
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            mapping = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        finally:
-            os.close(fd)
-        buf = memoryview(mapping)
+        with open(path, "rb") as segment:
+            return segment.read(descriptor.size)
     else:  # pragma: no cover - non-Linux fallback
         shm = shared_memory.SharedMemory(name=descriptor.shm_name)
         # this Python registers attachments too; without this, the
-        # worker's tracker would unlink the parent's segment at exit
+        # reader's tracker would unlink the publisher's segment at exit
         resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-        mapping = shm
-        buf = shm.buf
-    words = buf.cast(INT_TYPECODE).toreadonly()
-    label_of = descriptor.labels
-    graphs: list[TemporalGraph] = []
-    for block in descriptor.graphs:
-        o = block.offset
-        nn = block.num_nodes
-        ne = block.num_edges
-        label_ids = words[o : o + nn]
-        src = words[o + nn : o + nn + ne]
-        dst = words[o + nn + ne : o + nn + 2 * ne]
-        times = words[o + nn + 2 * ne : o + nn + 3 * ne]
-        graphs.append(
-            TemporalGraph.from_frozen_columns(
-                name=block.name,
-                labels=[label_of[lid] for lid in label_ids],
-                src=src,
-                dst=dst,
-                time=times,
-            )
-        )
-    seeds = (
-        SharedSeedTable(words, descriptor.seeds)
-        if descriptor.seeds
-        else SharedSeedTable(words, {})
-    )
-    return AttachedCorpus(
-        positives=graphs[: descriptor.num_positives],
-        negatives=graphs[descriptor.num_positives :],
-        seeds=seeds,
-        _mapping=mapping,
-        _words=words,
-    )
+        try:
+            return bytes(shm.buf[: descriptor.size])
+        finally:
+            shm.close()

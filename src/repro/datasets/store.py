@@ -28,8 +28,7 @@ the blob, multi-page graphs concatenate into one ``array('q')``), and
 :meth:`window` / :meth:`iter_windows` rebuild only the pages a time
 range overlaps.  Reconstructed graphs go through
 :meth:`TemporalGraph.from_frozen_columns`, so they are byte-identical to
-the in-memory originals and build their CSR kernels lazily on first use,
-exactly like the shared-memory attach path.
+the in-memory originals and build their CSR kernels lazily on first use.
 
 The file carries a schema version and per-object sha256 checksums
 (:meth:`verify`), mirroring the ``.tgm`` bundle / registry conventions;

@@ -31,14 +31,14 @@ Shard runners
   *backpressure*: the router counts the stall
   (``FleetStats.backpressure_waits``) and blocks — draining finished
   results while it waits — instead of buffering without bound.  The
-  registered query slate is serialized once and published through a
-  read-only shared-memory segment
-  (:func:`repro.core.shm.publish_blob`), the same spawn machinery the
-  parallel miner uses for its corpus, so N shards attach one copy
-  instead of unpickling N.  Per-batch results carry additive counter
-  deltas (:meth:`ServiceStats.counters`), which the router folds into
-  parent-side per-shard :class:`ServiceStats` — fleet stats are always
-  readable without a barrier.
+  registered query slate is serialized once into one shared-memory
+  blob (:func:`repro.core.shm.publish_blob`, the blob
+  :func:`repro.core.parallel.run_sharded` ships a non-fork pool's
+  start-up state in), which every shard reads instead of receiving
+  its own copy through its start-up pipe.  Per-batch results
+  carry additive counter deltas (:meth:`ServiceStats.counters`), which
+  the router folds into parent-side per-shard :class:`ServiceStats` —
+  fleet stats are always readable without a barrier.
 
 Late arrivals are dropped *per tenant* by each tenant's own window
 (never because a neighbour tenant's clock ran ahead) and roll up into
@@ -84,7 +84,7 @@ from repro.core.errors import CheckpointError, ServingError, ShardTimeoutError
 from repro.core.faults import FaultPlan
 from repro.core.parallel import resolve_start_method
 from repro.serving.contracts import STATS_SCHEMA_VERSION
-from repro.core.shm import BlobDescriptor, attach_blob, publish_blob
+from repro.core.shm import BlobDescriptor, publish_blob, read_blob
 from repro.serving.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
     CheckpointStore,
@@ -583,7 +583,7 @@ def _shard_worker(
     incarnation: int = 0,
     epoch: str = "",
 ) -> None:
-    """Process-shard main loop: attach the shared slate, serve batches.
+    """Process-shard main loop: read the shared slate, serve batches.
 
     On startup (first spawn *and* supervisor respawn) the worker
     re-warms every tenant service found under its checkpoint directory
@@ -596,8 +596,7 @@ def _shard_worker(
     if faults is not None:
         faults = faults.scoped(incarnation=incarnation)
     try:
-        attached = attach_blob(blob)
-        payload = json.loads(attached.to_bytes().decode("utf-8"))
+        payload = json.loads(read_blob(blob).decode("utf-8"))
         queries = [query_from_dict(entry) for entry in payload]
         state = _ShardState(
             queries,
@@ -687,9 +686,6 @@ class DetectionFleet:
     queue_depth:
         Bounded per-shard input queue, in batches (process runner only —
         inline shards drain synchronously and never backpressure).
-    start_method:
-        Multiprocessing start method override; defaults to the library's
-        platform preference (:func:`repro.core.parallel.resolve_start_method`).
     assign:
         ``(tenant, shards) -> shard`` override for tests and rebalancing
         experiments; defaults to :func:`shard_for_tenant`.  Detections
@@ -729,7 +725,6 @@ class DetectionFleet:
         window_span: int | None = None,
         runner: str = "inline",
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        start_method: str | None = None,
         assign: Callable[[str, int], int] | None = None,
         checkpoint_dir: "str | Path | None" = None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -760,7 +755,6 @@ class DetectionFleet:
         self._tenant_key = tenant_key or default_tenant_key
         self._assign = assign or shard_for_tenant
         self._queue_depth = queue_depth
-        self._start_method = start_method
         self._checkpoint_dir = (
             str(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -899,9 +893,7 @@ class DetectionFleet:
             for shard_id, state in enumerate(self._states):
                 self._absorb_recovery(shard_id, state.recover_tenants())
             return
-        self._ctx = multiprocessing.get_context(
-            resolve_start_method(self._start_method)
-        )
+        self._ctx = multiprocessing.get_context(resolve_start_method())
         payload = json.dumps(
             [query_to_dict(query) for query in self._queries]
         ).encode("utf-8")

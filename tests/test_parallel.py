@@ -7,8 +7,10 @@ count, on every bundled workload — including graphs whose concurrent
 edges were sequentialized with the ``random`` policy under a fixed seed.
 """
 
-import dataclasses
+import multiprocessing
 import os
+import pickle
+import sys
 import time
 
 import pytest
@@ -17,7 +19,6 @@ import repro.core.parallel as parallel
 from repro.core.concurrent import sequentialize
 from repro.core.errors import MiningError
 from repro.core.graph import TemporalEdge
-from repro.core.growth import seed_patterns
 from repro.core.miner import MinedPattern, MinerConfig, MiningStats, TGMiner
 from repro.core.parallel import (
     ParallelMiner,
@@ -28,7 +29,12 @@ from repro.core.parallel import (
     run_sharded,
 )
 from repro.core.pattern import TemporalPattern
-from repro.core.shm import attach_corpus, publish_corpus
+from repro.core.shm import publish_blob, read_blob
+from repro.datasets.store import CorpusStore
+from repro.experiments.harness import (
+    mine_all_behaviors,
+    mine_all_behaviors_from_store,
+)
 from repro.syscall import build_training_data
 
 WORKER_COUNTS = (1, 2, 3, 4)
@@ -262,161 +268,166 @@ class TestParallelMinerApi:
         # nowhere near the tasks x budget a per-seed deadline would allow
         assert elapsed < 10.0
 
-    def test_seed_tasks_match_serial_support_filter(self, train):
-        config = MinerConfig(max_edges=2, min_pos_support=0.7)
-        miner = ParallelMiner(config, workers=1)
-        positives = train.behavior("gzip-decompress")
-        tasks = miner.seed_tasks(positives, train.background)
-        assert tasks == sorted(tasks)
-        assert len(tasks) == len(set(tasks)) > 0
-
     def test_default_start_method_resolution(self):
-        assert resolve_start_method("spawn") == "spawn"
-        assert resolve_start_method() in ("fork", "spawn")
+        # no knob: pools start on the platform's method
+        platform = (
+            "fork"
+            if sys.platform == "linux"
+            and "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        assert resolve_start_method() == platform
 
 
 def _shm_entries():
-    """Names of live POSIX shared-memory segments (Linux)."""
+    """Names of live ``SharedMemory`` segments (Linux).
+
+    Only ``psm_*`` entries: a terminated pool's semaphores may outlive
+    it for a moment, a published segment may not.
+    """
     try:
-        return set(os.listdir("/dev/shm"))
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
 
 
 def _count_publishes(monkeypatch):
-    """Record one ``True`` per corpus segment the parallel miner publishes."""
+    """Record the payload size of every blob ``run_sharded`` publishes."""
     published = []
-    real_publish = parallel.publish_corpus
+    real_publish = parallel.publish_blob
 
-    def counting_publish(*args, **kwargs):
-        published.append(True)
-        return real_publish(*args, **kwargs)
+    def counting_publish(payload):
+        published.append(len(payload))
+        return real_publish(payload)
 
-    monkeypatch.setattr(parallel, "publish_corpus", counting_publish)
+    monkeypatch.setattr(parallel, "publish_blob", counting_publish)
     return published
 
 
+def _assert_serial_fingerprints(results, behaviors, train, config):
+    assert list(results) == behaviors
+    for name in behaviors:
+        serial = TGMiner(config).mine(train.behavior(name), train.background)
+        assert mining_fingerprint(results[name]) == mining_fingerprint(serial), name
+
+
+@pytest.fixture
+def spawn(monkeypatch):
+    """Start pools with ``spawn``, patched in this process only."""
+    monkeypatch.setattr(parallel, "resolve_start_method", lambda: "spawn")
+
+
 class TestSharedMemoryCorpus:
-    """Lifecycle and identity contract of the zero-copy corpus segment."""
+    """Spawned pools get their corpus from one shared-memory blob.
+
+    Under ``spawn`` :func:`run_sharded` pickles a pool's start-up state
+    (the corpus and seed tables, for the seed-sharded miner) once into
+    one segment and ships the workers its descriptor; ``fork`` and
+    inline runs publish nothing.  Every pooled caller must still give
+    the serial result, and no run may leave a segment behind.
+    """
 
     def _corpus(self):
         positives = _concurrent_workload(seed=11, graphs=3, flip=False)
         negatives = _concurrent_workload(seed=22, graphs=3, flip=True)
         return positives, negatives
 
-    def test_attach_rebuilds_identical_corpus(self):
-        positives, negatives = self._corpus()
-        seeds = seed_patterns(positives + negatives)
-        descriptor, handle = publish_corpus(positives, negatives, seeds=seeds)
-        try:
-            corpus = attach_corpus(descriptor)
-            assert len(corpus.positives) == len(positives)
-            assert len(corpus.negatives) == len(negatives)
-            for original, rebuilt in zip(
-                positives + negatives, corpus.positives + corpus.negatives
-            ):
-                assert rebuilt.name == original.name
-                assert rebuilt.labels == original.labels
-                assert list(rebuilt.edge_arrays()[3]) == [
-                    e.time for e in original.edges
-                ]
-                assert [e.endpoints() for e in rebuilt.edges] == [
-                    e.endpoints() for e in original.edges
-                ]
-            # the lazy seed table materializes the exact embedding sets
-            assert set(corpus.seeds) == set(seeds)
-            for key in seeds:
-                assert corpus.seeds[key] == seeds[key], key
-        finally:
-            handle.unlink()
-
-    def test_attached_columns_are_read_only(self):
-        positives, negatives = self._corpus()
-        descriptor, handle = publish_corpus(positives, negatives)
-        try:
-            corpus = attach_corpus(descriptor)
-            _base, src, _dst, _time = corpus.positives[0].edge_arrays()
-            with pytest.raises(TypeError):
-                src[0] = 99
-            with pytest.raises(TypeError):
-                corpus._words[0] = 99
-        finally:
-            handle.unlink()
-
     def test_unlink_is_idempotent_and_cleans_dev_shm(self):
         before = _shm_entries()
-        positives, negatives = self._corpus()
-        descriptor, handle = publish_corpus(positives, negatives)
+        descriptor, handle = publish_blob(b"payload")
         assert descriptor.shm_name.lstrip("/") in _shm_entries()
+        assert read_blob(descriptor) == b"payload"
         handle.unlink()
         handle.unlink()  # second call must be a no-op
         assert _shm_entries() <= before
 
-    def test_shared_mining_identical_to_serial(self, monkeypatch):
+    def test_shared_mining_identical_to_serial(self, monkeypatch, spawn):
         positives, negatives = self._corpus()
         config = MinerConfig(max_edges=3, min_pos_support=0.5)
         expected = mining_fingerprint(TGMiner(config).mine(positives, negatives))
         published = _count_publishes(monkeypatch)
         before = _shm_entries()
         for workers in (1, 2, 4):
-            result = ParallelMiner(
-                config, workers=workers, start_method="spawn"
-            ).mine(positives, negatives)
+            result = ParallelMiner(config, workers=workers).mine(
+                positives, negatives
+            )
             assert mining_fingerprint(result) == expected, f"workers={workers}"
-        # the two pooled runs mined over the segment; the inline one not
-        assert published == [True, True]
+        # the two pooled runs mined from a blob; the inline one not
+        assert len(published) == 2
         assert _shm_entries() <= before, "leaked shared-memory segments"
 
-    def test_segment_unlinked_after_worker_crash(self, monkeypatch):
-        # a spawned worker inherits no monkeypatch, so the crash rides
-        # in on the descriptor: every seed's embedding triples point
-        # past the segment's end, and the first seed table a pool
-        # worker reads from its attached corpus raises mid-map (the
-        # graphs must still attach: a failing pool initializer makes
-        # multiprocessing respawn workers forever instead of raising)
-        positives, negatives = self._corpus()
-        config = MinerConfig(max_edges=3, min_pos_support=0.5)
-        segments = []
-        real_publish = parallel.publish_corpus
+    def test_behavior_fanout_identical_to_serial(self, train, monkeypatch, spawn):
+        config = MinerConfig(max_edges=3, min_pos_support=0.7)
+        behaviors = ["gzip-decompress", "ftp-download"]
+        published = _count_publishes(monkeypatch)
+        results = mine_all_behaviors(
+            train, behaviors=behaviors, config=config, workers=2
+        )
+        _assert_serial_fingerprints(results, behaviors, train, config)
+        assert len(published) == 1
 
-        def corrupt_publish(*args, **kwargs):
-            descriptor, handle = real_publish(*args, **kwargs)
-            segments.append(descriptor.shm_name.lstrip("/"))
-            past_end = {
-                key: tuple(
-                    (gid, descriptor.total_words, count)
-                    for gid, _offset, count in entries
-                )
-                for key, entries in descriptor.seeds.items()
-            }
-            return dataclasses.replace(descriptor, seeds=past_end), handle
+    def test_store_fanout_identical_to_serial(
+        self, train, tmp_path, monkeypatch, spawn
+    ):
+        config = MinerConfig(max_edges=3, min_pos_support=0.7)
+        behaviors = ["gzip-decompress", "ftp-download"]
+        path = tmp_path / "corpus.store"
+        with CorpusStore.create(path) as builder:
+            builder.add_training_data(train)
+        published = _count_publishes(monkeypatch)
+        results = mine_all_behaviors_from_store(
+            path, behaviors=behaviors, config=config, workers=2
+        )
+        _assert_serial_fingerprints(results, behaviors, train, config)
+        assert len(published) == 1
 
-        monkeypatch.setattr(parallel, "publish_corpus", corrupt_publish)
-        miner = ParallelMiner(config, workers=2, start_method="spawn")
-        with pytest.raises(IndexError):
-            miner.mine(positives, negatives)
-        # the pool's own semaphores may outlive a terminated spawn pool
-        # for a moment; the corpus segment must be gone at once
-        assert len(segments) == 1
-        assert segments[0] not in _shm_entries(), "crash leaked a segment"
+    def test_large_initargs_ship_as_one_small_descriptor(self, monkeypatch, spawn):
+        # a spawned worker's arguments go down its start-up pipe in one
+        # blocking write; past the 64 KiB pipe buffer that serializes
+        # pool start-up, so the pool may only see the blob's descriptor
+        pool_initargs = []
+        real_pool = multiprocessing.context.BaseContext.Pool
+
+        def recording_pool(ctx, processes=None, initializer=None, initargs=()):
+            pool_initargs.append(pickle.dumps((initializer, initargs)))
+            return real_pool(ctx, processes, initializer, initargs)
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", recording_pool)
+        published = _count_publishes(monkeypatch)
+        before = _shm_entries()
+        payload = bytes(100_000)
+        assert len(pickle.dumps((len, (payload,)))) > 64 * 1024
+        assert run_sharded([-1, 2, -3], abs, 2, len, (payload,)) == [1, 2, 3]
+        assert len(published) == 1 and published[0] > 64 * 1024
+        assert len(pool_initargs) == 1 and len(pool_initargs[0]) < 1024
+        assert _shm_entries() <= before
 
     def test_auto_policy_publishes_only_for_pooled_spawn(self, monkeypatch):
         positives, negatives = self._corpus()
         config = MinerConfig(max_edges=2, min_pos_support=0.5)
         published = _count_publishes(monkeypatch)
-        # fork: copy-on-write inheritance, a segment would only add copies
-        ParallelMiner(config, workers=2, start_method="fork").mine(positives, negatives)
+        # fork: copy-on-write inheritance, a blob would only add copies
+        monkeypatch.setattr(parallel, "resolve_start_method", lambda: "fork")
+        ParallelMiner(config, workers=2).mine(positives, negatives)
+        assert run_sharded([1, 2], _square, 2, _noop_init, ()) == [1, 4]
         assert not published
-        # single worker: inline run, nothing to share
-        ParallelMiner(config, workers=1, start_method="spawn").mine(
-            positives, negatives
-        )
+        monkeypatch.setattr(parallel, "resolve_start_method", lambda: "spawn")
+        # single worker: inline run, nothing to ship
+        ParallelMiner(config, workers=1).mine(positives, negatives)
+        assert run_sharded([1, 2], _square, 1, _noop_init, ()) == [1, 4]
         assert not published
-        # pooled spawn: the case shared memory exists for
-        ParallelMiner(config, workers=2, start_method="spawn").mine(
-            positives, negatives
-        )
-        assert published == [True]
+        # pooled spawn: the case the blob exists for
+        ParallelMiner(config, workers=2).mine(positives, negatives)
+        assert len(published) == 1
+
+    def test_segment_unlinked_after_worker_crash(self, monkeypatch, spawn):
+        # the second task raises in a spawned worker, mid-map
+        published = _count_publishes(monkeypatch)
+        before = _shm_entries()
+        with pytest.raises(ValueError):
+            run_sharded(["1", "x", "3"], int, 2, len, (b"state",))
+        assert len(published) == 1
+        assert _shm_entries() <= before, "crash leaked a segment"
 
 
 class TestRunSharded:
