@@ -27,6 +27,7 @@ from repro.core.subgraph import SequenceSubgraphTester
 from repro.experiments.harness import mine_all_behaviors, mine_behavior
 
 from benchmarks.bench_common import (
+    EXHAUSTIVE_CAP,
     FAN_MAX_EDGES,
     MIN_PARALLEL_SPEEDUP,
     MINING_SECONDS,
@@ -110,6 +111,7 @@ def test_ablation_residual_compression(benchmark, train):
                 max_edges=4,
                 min_pos_support=0.7,
                 residual_equivalence=mode,
+                max_best_patterns=EXHAUSTIVE_CAP,
                 max_seconds=MINING_SECONDS,
             )
             started = time.perf_counter()
@@ -160,6 +162,7 @@ def test_ablation_index_prefilter(benchmark, train):
                     min_pos_support=0.7,
                     subgraph_test=tester,
                     index_prefilter=indexed,
+                    max_best_patterns=EXHAUSTIVE_CAP,
                     max_seconds=MINING_SECONDS,
                 )
                 started = time.perf_counter()
@@ -221,10 +224,16 @@ def test_ablation_parallel_scaling(benchmark, train):
     fan_behaviors = tuple(train.config.behaviors)
     max_workers = max(PARALLEL_WORKERS)
     seed_config = MinerConfig(
-        max_edges=SEED_MAX_EDGES, min_pos_support=0.7, max_seconds=MINING_SECONDS
+        max_edges=SEED_MAX_EDGES,
+        min_pos_support=0.7,
+        max_best_patterns=EXHAUSTIVE_CAP,
+        max_seconds=MINING_SECONDS,
     )
     fan_config = MinerConfig(
-        max_edges=FAN_MAX_EDGES, min_pos_support=0.7, max_seconds=MINING_SECONDS
+        max_edges=FAN_MAX_EDGES,
+        min_pos_support=0.7,
+        max_best_patterns=EXHAUSTIVE_CAP,
+        max_seconds=MINING_SECONDS,
     )
 
     def run():

@@ -10,7 +10,7 @@ from repro.core.miner import MinerConfig
 from repro.datasets.synthetic import replicate_training_data
 from repro.experiments.harness import mine_behavior
 
-from benchmarks.bench_common import MINING_SECONDS, emit, once
+from benchmarks.bench_common import EXHAUSTIVE_CAP, MINING_SECONDS, emit, once
 
 FACTORS = (1, 2, 4)
 BEHAVIOR = "ftp-download"
@@ -28,6 +28,7 @@ def test_fig16_synthetic_scalability(benchmark, train):
                 MinerConfig(
                     max_edges=4,
                     min_pos_support=0.7,
+                    max_best_patterns=EXHAUSTIVE_CAP,
                     max_seconds=MINING_SECONDS,
                 ),
             )

@@ -16,6 +16,10 @@ Policy (per metric, relative tolerance ``--tolerance``, default 25%):
   speedup** — the baseline understates where the code is, so trend
   gating has lost its bite → exit 2, refresh with ``--write``;
 * a soundness boolean that is not ``true`` → exit 1;
+* a guarded metric whose baseline set its guard but whose current run
+  did not (**unenforced**: the gate cannot apply, e.g. because the run
+  got too short to measure) → exit 2, restore the run's scale or
+  refresh with ``--write``;
 * a baselined file missing from the current results → exit 1;
 * a current file with no baseline → exit 2 (add it with ``--write``).
 
@@ -194,7 +198,17 @@ def compare(
         if metric.guard is not None and not (
             base.get(metric.guard) and cur.get(metric.guard)
         ):
-            if cur.get(metric.guard) and not base.get(metric.guard):
+            if base.get(metric.guard):
+                # the baseline was gated but this run was not: a gate
+                # that silently stops applying must not read as OK
+                note(
+                    REFRESH_NEEDED,
+                    f"UNENFORCED   {label}: this run did not set "
+                    f"{metric.guard!r}, which the baseline sets, so the gate "
+                    "did not apply — restore the run's scale or refresh the "
+                    "baseline with --write",
+                )
+            elif cur.get(metric.guard):
                 # the current run could measure this but the committed
                 # baseline couldn't (e.g. recorded on a 1-core box).  Warn
                 # on every run — loudly, not fatally: failing each PR over

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.buffers import IntColumn, int_column
 from repro.core.errors import GraphError, TimestampOrderError
-from repro.core.kernel import EdgeArrays, GraphKernel, LabelInterner
+from repro.core.kernel import EdgeArrays, GraphKernel
 
 __all__ = ["TemporalEdge", "TemporalGraph"]
 
@@ -251,28 +251,20 @@ class TemporalGraph:
             self._col_time = int_column(self._edge_times)
         return (0, self._col_src, self._col_dst, self._col_time)
 
-    def kernel(self, interner: LabelInterner | None = None) -> GraphKernel:
-        """The graph's interned-label CSR kernel, built lazily and cached.
+    def kernel(self) -> GraphKernel:
+        """The graph's interned-label CSR kernel, built once and cached.
 
-        With ``interner`` given, the kernel is (re)built bound to that
-        interner unless the cached one already is — datasets (mining
-        runs) pass one shared interner across all their graphs so label
-        ids agree.  A no-arg call returns the cached kernel *whatever
-        interner it is currently bound to* (a fresh graph-local one only
-        if nothing is cached yet): the flat arrays and CSR runs are
-        interner-agnostic, but label ids must always be translated
-        through the returned kernel's own ``interner``, never assumed
-        graph-local.  The cache is dropped on pickling: under
-        multiprocessing every worker rebuilds its own kernels rather
-        than deserializing them.
+        Labels intern through the process-wide
+        :data:`~repro.core.kernel.PROCESS_INTERNER`, so one kernel serves
+        every mining run in the process: a background graph mined
+        against many behaviors is flattened once.  The cache is dropped
+        on pickling: under multiprocessing every worker rebuilds its own
+        kernels rather than deserializing them.
         """
         self._require_frozen()
-        cached = self._kernel
-        if cached is not None and (interner is None or cached.interner is interner):
-            return cached
-        kernel = GraphKernel.from_graph(self, interner)
-        self._kernel = kernel
-        return kernel
+        if self._kernel is None:
+            self._kernel = GraphKernel.from_graph(self)
+        return self._kernel
 
     def edge_index_after(self, time: int) -> int:
         """Index of the first edge with timestamp strictly greater than ``time``."""

@@ -25,18 +25,23 @@ arrays:
   (``out_dsts[j] == edge_dst[out_indices[j]]``), kept as plain lists so
   the growth hot loop reads the endpoint it branches on at list speed
   instead of paying the buffer scalar-access tax per incident edge;
-* ``node_label_ids`` — node labels interned to dense ints through a
-  :class:`LabelInterner`;
+* ``node_label_ids`` — node labels interned to dense ints through the
+  process-wide :data:`PROCESS_INTERNER`;
 * ``suffix_label_ids`` — the residual node-label sets as frozensets of
   interned ids (the only copy: the miner's subgraph pruning reads them
   through :func:`~repro.core.residual.summarize_residuals`).
 
-**Interning contract.**  Label ids are *per interner*, and an interner
-is per dataset (one mining run, one query engine, one stream) — never
-global.  Ids are assigned in first-encounter order, so they are
-deterministic for a fixed graph list but meaningless across datasets;
-persist labels, never ids.  Containment/equality results are identical
-to the string path because interning is a bijection within one interner.
+**Interning contract.**  Kernels and sequence encodings intern through
+one :class:`LabelInterner` per process, :data:`PROCESS_INTERNER`, so a
+graph is flattened once and every mining run in the process reuses its
+kernel.  Mining compares ids only for equality and set intersection
+inside one process, where equal ids ⟺ equal strings; ids follow the
+process's interning history, so they are meaningless across processes:
+persist labels, never ids (a model bundle persists its own dataset
+interner's label order, :meth:`LabelInterner.snapshot`).  The interner
+only grows, by the distinct labels the process has flattened or
+encoded.  Containment/equality results are identical to the string
+path because interning is a bijection.
 
 **Correctness contract.**  Growth, residual summaries and the match
 join run only over the kernel and its edge columns (the join in a
@@ -50,6 +55,7 @@ against exhaustive enumeration on random graphs.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.buffers import IntColumn
@@ -57,7 +63,13 @@ from repro.core.buffers import IntColumn
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports us)
     from repro.core.graph import TemporalGraph
 
-__all__ = ["LabelInterner", "GraphKernel", "EdgeArrays", "build_kernels"]
+__all__ = [
+    "LabelInterner",
+    "PROCESS_INTERNER",
+    "GraphKernel",
+    "EdgeArrays",
+    "build_kernels",
+]
 
 #: What an *edge-indexed source* hands the array join: ``(base, src, dst,
 #: time)`` where position ``i - base`` of each flat column describes the
@@ -68,27 +80,32 @@ EdgeArrays = tuple[int, IntColumn, IntColumn, IntColumn]
 
 
 class LabelInterner:
-    """Bijective ``label string <-> dense int id`` mapping for one dataset.
+    """Bijective ``label string <-> dense int id`` mapping.
 
     Ids are handed out in first-:meth:`intern` order, which makes them
-    deterministic for a fixed construction order (the parallel miner
-    relies on this: every worker re-interns the same graph list and gets
-    the same ids without shipping the interner).
+    deterministic for a fixed construction order.  :meth:`intern` is
+    safe for concurrent threads: a miss assigns its id under a lock, and
+    the label is listed before its id is published, so a reader that
+    finds an id can always :meth:`label_of` it.
     """
 
-    __slots__ = ("_ids", "_labels")
+    __slots__ = ("_ids", "_labels", "_lock")
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self._labels: list[str] = []
+        self._lock = threading.Lock()
 
     def intern(self, label: str) -> int:
         """Return the id of ``label``, assigning the next id if unseen."""
         lid = self._ids.get(label)
         if lid is None:
-            lid = len(self._labels)
-            self._ids[label] = lid
-            self._labels.append(label)
+            with self._lock:
+                lid = self._ids.get(label)
+                if lid is None:
+                    lid = len(self._labels)
+                    self._labels.append(label)
+                    self._ids[label] = lid
         return lid
 
     def id_of(self, label: str) -> int | None:
@@ -124,20 +141,24 @@ class LabelInterner:
         return label in self._ids
 
 
+#: The process-wide interner of kernel and sequence-encoding labels (see
+#: the interning contract above).
+PROCESS_INTERNER = LabelInterner()
+
+
 class GraphKernel:
     """Frozen array-backed view of one :class:`TemporalGraph`.
 
-    Built once per ``(graph, interner)`` pair via :meth:`from_graph`
-    (graphs cache their kernel — see :meth:`TemporalGraph.kernel`) and
-    read by every hot path afterwards.  The edge columns are contiguous
-    int64 buffers shared with the owning graph's :meth:`edge_arrays`
-    (possibly read-only views of store pages); CSR runs and label-id
-    tables are plain lists / frozensets.  The kernel itself is immutable
-    by convention.
+    Built once per graph via :meth:`from_graph` (graphs cache their
+    kernel — see :meth:`TemporalGraph.kernel`) and read by every hot
+    path afterwards.  The edge columns are contiguous int64 buffers
+    shared with the owning graph's :meth:`edge_arrays` (possibly
+    read-only views of store pages); CSR runs and label-id tables are
+    plain lists / frozensets.  The kernel itself is immutable by
+    convention.
     """
 
     __slots__ = (
-        "interner",
         "num_nodes",
         "num_edges",
         "edge_src",
@@ -156,7 +177,6 @@ class GraphKernel:
 
     def __init__(
         self,
-        interner: LabelInterner,
         edge_src: IntColumn,
         edge_dst: IntColumn,
         edge_time: IntColumn,
@@ -168,7 +188,6 @@ class GraphKernel:
         in_indices: list[int],
         suffix_label_ids: list[frozenset[int]],
     ) -> None:
-        self.interner = interner
         self.num_nodes = len(node_label_ids)
         self.num_edges = len(edge_src)
         self.edge_src = edge_src
@@ -185,22 +204,18 @@ class GraphKernel:
         self.suffix_label_ids = suffix_label_ids
 
     @classmethod
-    def from_graph(
-        cls, graph: "TemporalGraph", interner: LabelInterner | None = None
-    ) -> "GraphKernel":
-        """Flatten a frozen graph into a kernel bound to ``interner``.
+    def from_graph(cls, graph: "TemporalGraph") -> "GraphKernel":
+        """Flatten a frozen graph, interning through :data:`PROCESS_INTERNER`.
 
         Prefer :meth:`TemporalGraph.kernel`, which caches the result on
         the graph; this constructor always builds fresh.
         """
         if not graph.frozen:
             graph.freeze()
-        if interner is None:
-            interner = LabelInterner()
         base, edge_src, edge_dst, edge_time = graph.edge_arrays()
         assert base == 0, "frozen graphs index edges from zero"
         labels = graph.labels
-        intern = interner.intern
+        intern = PROCESS_INTERNER.intern
         node_label_ids = [intern(label) for label in labels]
         out_indptr, out_indices = _csr(graph._out)
         in_indptr, in_indices = _csr(graph._in)
@@ -214,7 +229,6 @@ class GraphKernel:
             acc.add(node_label_ids[edge_dst[i]])
             suffix[i] = frozenset(acc)
         return cls(
-            interner=interner,
             edge_src=edge_src,
             edge_dst=edge_dst,
             edge_time=edge_time,
@@ -228,10 +242,7 @@ class GraphKernel:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GraphKernel(nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"labels={len(self.interner)})"
-        )
+        return f"GraphKernel(nodes={self.num_nodes}, edges={self.num_edges})"
 
 
 def _csr(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -245,13 +256,10 @@ def _csr(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return indptr, indices
 
 
-def build_kernels(
-    graphs: Sequence["TemporalGraph"], interner: LabelInterner
-) -> list[GraphKernel]:
-    """Kernels for a graph *dataset*, all interned through ``interner``.
+def build_kernels(graphs: Sequence["TemporalGraph"]) -> list[GraphKernel]:
+    """The cached kernels of a graph *dataset* (built on first use).
 
-    This is the per-dataset entry point the miner uses: one interner
-    spans positives and negatives so residual label-id sets union and
-    intersect correctly across graphs.
+    All share :data:`PROCESS_INTERNER`, so residual label-id sets union
+    and intersect across the miner's positives and negatives.
     """
-    return [graph.kernel(interner) for graph in graphs]
+    return [graph.kernel() for graph in graphs]

@@ -21,11 +21,18 @@ Setting the corresponding :class:`MinerConfig` fields reproduces the five
 efficiency baselines of Section 6.3 (``SubPrune``, ``SupPrune``,
 ``PruneGI``, ``PruneVF2``, ``LinearScan``) — see :func:`miner_variant`.
 
-Every run has one data path: it builds one
-:class:`~repro.core.kernel.GraphKernel` per graph over a shared
-interner, enumerates seeds from each graph's one-edge label-pair index,
-grows embeddings over the kernels' CSR runs and reads residual label
-sets from the kernels' interned suffix sets.
+Every run has one data path: it reads each graph's cached
+:class:`~repro.core.kernel.GraphKernel` (built once per process, over the
+process-wide interner, so a background graph mined against many
+behaviors is flattened once), enumerates seeds from each graph's
+one-edge label-pair index, grows embeddings over the kernels' CSR runs
+and reads residual label sets from the kernels' interned suffix sets.
+
+A run stops as soon as its answer is final: once the best score reaches
+``F(1, 0)``, which no score exceeds, and the co-optimal list holds
+:attr:`MinerConfig.max_best_patterns` patterns, no pattern left can
+change ``best``, so the search ends there (``MiningStats.stopped_final``)
+instead of exploring what could at most tie a full list.
 
 The pruning history indexes only entries that can prune: one whose
 branch bound reached ``F(1, 0)``, which no best score exceeds, is
@@ -63,7 +70,7 @@ from typing import Sequence
 from repro.core.errors import MiningError
 from repro.core.graph import TemporalGraph
 from repro.core.graph_index import CandidateFilter, GraphIndexTester
-from repro.core.kernel import LabelInterner, build_kernels
+from repro.core.kernel import PROCESS_INTERNER, build_kernels
 from repro.core.growth import (
     EmbeddingTable,
     child_pattern,
@@ -122,7 +129,12 @@ class MinerConfig:
         bitmask) before calling the tester (sound pruning only; results
         are identical either way).
     max_best_patterns:
-        Cap on retained co-optimal patterns (ties can be numerous).
+        Cap on retained co-optimal patterns (ties can be numerous).  It
+        also ends the search: once the best score reaches ``F(1, 0)``
+        and the list holds this many patterns, nothing left can change
+        it.  A cap above any reachable count (e.g. ``sys.maxsize``)
+        gives the exhaustive search, whose exploration counters the
+        efficiency benchmarks report.
     max_seconds:
         Soft wall-clock budget; exploration stops and the result is
         flagged ``timed_out`` when exceeded.
@@ -193,7 +205,11 @@ class MiningStats:
     ``saturated_entries`` counts the explored patterns whose branch bound
     reached the maximum score ``F(1, 0)``: no best score exceeds it, so
     neither pruning could ever fire on them and the pruning history does
-    not index them.
+    not index them.  ``stopped_final`` is 1 when the search stopped
+    because its answer was final (best score ``F(1, 0)`` and a full
+    co-optimal list), else 0; a sharded run sums it over its seeds.
+    Unlike a timeout, that stop leaves ``best`` exactly as the
+    exhaustive search finds it.
     """
 
     patterns_explored: int = 0
@@ -205,6 +221,7 @@ class MiningStats:
     index_prefilter_checks: int = 0
     residual_equivalence_tests: int = 0
     saturated_entries: int = 0
+    stopped_final: int = 0
     elapsed_seconds: float = 0.0
     timed_out: bool = False
 
@@ -322,13 +339,13 @@ class _MiningRun:
         self.config = config
         self.positives = positives
         self.negatives = negatives
-        # The run's data plane: one interner spans positives and
-        # negatives so residual label-id sets union/intersect across
-        # graphs; kernels are built once per run (and hence once per
-        # pool worker — TemporalGraph never pickles its kernel cache).
-        self.interner = LabelInterner()
-        self.pos_kernels = build_kernels(positives, self.interner)
-        self.neg_kernels = build_kernels(negatives, self.interner)
+        # The run's data plane: the graphs' cached kernels, all interned
+        # through the one process-wide interner, so residual label-id
+        # sets union/intersect across positives and negatives (pool
+        # workers build their own — TemporalGraph never pickles its
+        # kernel cache).
+        self.pos_kernels = build_kernels(positives)
+        self.neg_kernels = build_kernels(negatives)
         self.n_pos = len(positives)
         self.n_neg = max(len(negatives), 1)
         self.score_fn = resolve_score(config.score, self.n_pos, self.n_neg)
@@ -370,7 +387,8 @@ class _MiningRun:
         answered), and rebuilding them per seed would defeat the point
         of a per-worker run object.  Used by :mod:`repro.core.parallel`
         to give every seed subtree a fresh pruning history and
-        incumbent set.
+        incumbent set; the fresh counters and incumbents also let each
+        seed stop on its own final list (:meth:`_final`).
         """
         self.stats = MiningStats()
         self.best_score = NEG_INF
@@ -429,7 +447,7 @@ class _MiningRun:
             pos_embs, neg_embs = split_seed_table(table, self.n_pos)
             pattern = TemporalPattern.single_edge(src_label, dst_label)
             self._dfs(pattern, pos_embs, neg_embs)
-            if self._out_of_time():
+            if self._stop():
                 break
         return self.finalize(started)
 
@@ -474,7 +492,7 @@ class _MiningRun:
                 if self.score_fn.upper_bound(pos_freq) < self.best_score:
                     self.stats.upper_bound_prunes += 1
                     grow = False
-            if grow and not self._out_of_time():
+            if grow and not self._stop():
                 branch_ub = max(
                     branch_ub, self._grow_children(pattern, pos_embs, neg_embs)
                 )
@@ -497,7 +515,7 @@ class _MiningRun:
             child = child_pattern(pattern, key)
             child_ub = self._dfs(child, pos_ext[key], neg_ext.get(key, {}))
             branch_ub = max(branch_ub, child_ub)
-            if self._out_of_time():
+            if self._stop():
                 break
         return branch_ub
 
@@ -545,9 +563,9 @@ class _MiningRun:
                 continue
             mapped = set(mapping)
             # residual label sets carry interned ids (the kernels'
-            # suffix sets); a pattern label the dataset never interned
+            # suffix sets); a pattern label the process never interned
             # cannot occur in any residual graph, so unknown ids drop out
-            id_of = self.interner.id_of
+            id_of = PROCESS_INTERNER.id_of
             leftover_ids = set()
             for n in range(entry.num_nodes):
                 if n not in mapped:
@@ -662,10 +680,26 @@ class _MiningRun:
         ):
             self.best.append(mined)
 
-    def _out_of_time(self) -> bool:
-        if self.deadline is None:
-            return False
-        if time.perf_counter() > self.deadline:
+    def _final(self) -> bool:
+        """Whether no pattern left can change ``best``.
+
+        No score exceeds ``F(1, 0)``, so once the best score reaches it,
+        a later pattern could at most tie, and a full list takes no tie.
+        """
+        return (
+            self.best_score >= self.saturated
+            and len(self.best) >= self.config.max_best_patterns
+        )
+
+    def _stop(self) -> bool:
+        """Whether the search ends here: its answer is final, or time is up.
+
+        Only running out of time flags ``timed_out``.
+        """
+        if self._final():
+            self.stats.stopped_final = 1
+            return True
+        if self.deadline is not None and time.perf_counter() > self.deadline:
             self.stats.timed_out = True
             return True
         return False

@@ -19,11 +19,13 @@ exploits this to shard the search:
   :class:`~repro.core.graph_index.CandidateFilter` caches (mask bit
   positions, label indexes) persist across all the seeds that worker
   mines, and so do its interned-label CSR kernels
-  (:mod:`repro.core.kernel`), which the run constructor builds in the
-  worker process (:class:`~repro.core.graph.TemporalGraph` drops its
-  kernel cache on pickling, so kernels are never shipped) — and every
-  task seed is explored with a *fresh* pruning history
-  (:meth:`~repro.core.miner._MiningRun.reset`);
+  (:mod:`repro.core.kernel`), which the worker builds over its own
+  process-wide interner (:class:`~repro.core.graph.TemporalGraph` drops
+  its kernel cache on pickling, so kernels are never shipped; a forked
+  worker inherits the parent's kernels and interner together) — and
+  every task seed is explored with a *fresh* pruning history and
+  incumbent set (:meth:`~repro.core.miner._MiningRun.reset`), so a seed
+  stops once its *own* co-optimal list is final;
 * the parent merges per-seed results deterministically in sorted seed
   order (:func:`merge_seed_results`), re-applying the serial miner's
   co-optimal cap and final ranking.
@@ -38,8 +40,10 @@ enumerated in sorted key order, and therefore co-optimal patterns are
 discovered in the same depth-first order in both regimes.  Exploration
 *counters* (:class:`~repro.core.miner.MiningStats`) and the per-size
 incumbents (``best_by_size``) legitimately differ from the serial run,
-which explores strictly fewer patterns thanks to its cross-seed history;
-both are still deterministic for any worker count.
+which shares its pruning history across seeds and stops as soon as the
+*global* co-optimal list is final; both are still deterministic for any
+worker count.  A seed that stops on its own final list keeps exactly
+the co-optimals it would have found first, so the merge is unchanged.
 
 ``config.max_seconds`` applies per seed subtree here (each worker task
 arms its own deadline) rather than to the whole search as in the serial
@@ -55,6 +59,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 from repro.core.errors import MiningError
@@ -131,6 +136,12 @@ def run_sharded(
     workers one at a time.  The blob is unlinked when the pool is done,
     also when a task raised.
 
+    An exception raised by ``initializer`` in a pool worker is raised
+    from this call, as on the inline path: ``multiprocessing.Pool``
+    would replace a worker that dies in its initializer and wait for it
+    forever, so each worker records the exception instead
+    (:func:`_guarded_init`) and raises it from every task it is handed.
+
     ``deadline_seconds`` is a soft budget for the whole map: once it is
     exceeded, remaining tasks are abandoned (the pool is terminated) and
     the partial result list is returned — callers detect the truncation
@@ -158,14 +169,17 @@ def run_sharded(
         blob = pickle.dumps((initializer, initargs), pickle.HIGHEST_PROTOCOL)
         descriptor, handle = publish_blob(blob)
         initializer, initargs = _init_from_blob, (descriptor,)
+    guarded = partial(_guarded_task, task_fn)
     try:
         with multiprocessing.get_context(method).Pool(
-            processes=workers, initializer=initializer, initargs=initargs
+            processes=workers,
+            initializer=_guarded_init,
+            initargs=(initializer, initargs),
         ) as pool:
             if deadline is None:
-                return pool.map(task_fn, tasks, chunksize=1)
+                return pool.map(guarded, tasks, chunksize=1)
             results = []
-            for result in pool.imap(task_fn, tasks, chunksize=1):
+            for result in pool.imap(guarded, tasks, chunksize=1):
                 results.append(result)
                 if time.perf_counter() > deadline:
                     break
@@ -173,6 +187,26 @@ def run_sharded(
     finally:
         if handle is not None:
             handle.unlink()
+
+
+#: The exception this pool worker's initializer raised, if any.
+_INIT_ERROR: Exception | None = None
+
+
+def _guarded_init(initializer: Callable[..., None], initargs: tuple) -> None:
+    """Run a pool initializer, keeping its exception for the tasks."""
+    global _INIT_ERROR
+    try:
+        initializer(*initargs)
+    except Exception as exc:
+        _INIT_ERROR = exc
+
+
+def _guarded_task(task_fn: Callable[[_T], _R], task: _T) -> _R:
+    """Run one task, or raise the worker's initializer exception."""
+    if _INIT_ERROR is not None:
+        raise _INIT_ERROR
+    return task_fn(task)
 
 
 def _init_from_blob(descriptor: BlobDescriptor) -> None:

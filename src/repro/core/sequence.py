@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.kernel import LabelInterner
+from repro.core.kernel import PROCESS_INTERNER
 from repro.core.pattern import TemporalPattern
 
 __all__ = [
@@ -87,21 +87,16 @@ def label_subsequence(needle: tuple, haystack: tuple) -> bool:
     return all(any(item == other for other in it) for item in needle)
 
 
-#: Process-wide interner for pattern-label projections.  Sequence
-#: encodings only ever compare labels for *equality* (subsequence tests,
-#: candidate filtering), never for order, so a single shared id space is
-#: sound: within one process, equal ids ⟺ equal strings, and the test
-#: outcomes are identical to the string comparisons.
-_SEQUENCE_INTERNER = LabelInterner()
-
-
 class SequenceEncoding:
     """All sequence encodings of one pattern, plus label projections.
 
     Encoding a pattern is pure and patterns are immutable, so instances
     are cached via :func:`encode`.  Besides the label-string projections,
     interned-id twins (``*_ids``) are precomputed for the subsequence
-    tester's hot comparisons.
+    tester's hot comparisons.  They intern through the process-wide
+    :data:`~repro.core.kernel.PROCESS_INTERNER`: the tests compare labels
+    only for equality, never for order, so within one process equal ids
+    ⟺ equal strings and the outcomes are those of the string comparisons.
     """
 
     __slots__ = (
@@ -127,7 +122,7 @@ class SequenceEncoding:
         self.edge_label_pairs = tuple(
             (pattern.label(u), pattern.label(v)) for u, v in self.edgeseq
         )
-        intern = _SEQUENCE_INTERNER.intern
+        intern = PROCESS_INTERNER.intern
         label_ids = tuple(intern(label) for label in pattern.labels)
         self.node_label_ids = tuple(label_ids[n] for n in self.nodeseq)
         self.enh_label_ids = tuple(label_ids[n] for n in self.enhseq)

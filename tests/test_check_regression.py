@@ -41,6 +41,18 @@ def parallel(identical=True, enforced=False, seed=1.0, fan=1.0):
     }
 
 
+def store(enforced=True, efficiency=1.0):
+    return {
+        "identical": True,
+        "rss_bounded": True,
+        "store_efficiency": efficiency,
+        "efficiency_enforced": enforced,
+        "build_edges_per_second": 20_000.0,
+        "rss_ratio": 1.1,
+        "scan_ratio": 0.5,
+    }
+
+
 @pytest.fixture
 def dirs(tmp_path):
     return tmp_path / "current", tmp_path / "baselines"
@@ -105,6 +117,27 @@ class TestCompare:
         code, lines = check_regression.compare(current, baselines)
         assert code == check_regression.OK
         assert any("UNGUARDED" in line and "--write" in line for line in lines)
+
+    def test_lost_guard_is_unenforced_not_ok(self, dirs):
+        """A gate the baseline enforced but the current run could not
+        (the store bench's in-memory mining fell under its floor) asks
+        for a refresh instead of passing as a skip."""
+        current, baselines = dirs
+        write_result(baselines, "BENCH_store.json", store(enforced=True))
+        write_result(current, "BENCH_store.json", store(enforced=False, efficiency=0.1))
+        code, lines = check_regression.compare(current, baselines)
+        assert code == check_regression.REFRESH_NEEDED
+        assert any(
+            line.startswith("UNENFORCED") and "store_efficiency" in line
+            for line in lines
+        )
+        assert not any(line.startswith("SKIPPED") for line in lines)
+        assert (
+            check_regression.main(
+                ["--current", str(current), "--baselines", str(baselines)]
+            )
+            == check_regression.REFRESH_NEEDED
+        )
 
     def test_guarded_metric_gated_when_enforced(self, dirs):
         current, baselines = dirs

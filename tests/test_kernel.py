@@ -10,6 +10,9 @@ on random temporal graphs, so any divergence fails loudly.
 import itertools
 import pickle
 import random
+import sys
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -31,7 +34,13 @@ from repro.core.growth import (
     extend_embeddings,
     seed_patterns,
 )
-from repro.core.kernel import LabelInterner, build_kernels
+from repro.core.kernel import (
+    PROCESS_INTERNER,
+    GraphKernel,
+    LabelInterner,
+    build_kernels,
+)
+from repro.core.miner import MinerConfig, TGMiner, _MiningRun
 from repro.core.pattern import TemporalPattern
 from repro.core.residual import summarize_residuals
 from repro.core.sequence import encode
@@ -119,8 +128,7 @@ class TestGraphKernel:
         kernel = graph.kernel()
         for i in range(graph.num_edges + 1):
             as_strings = {
-                kernel.interner.label_of(lid)
-                for lid in kernel.suffix_label_ids[i]
+                PROCESS_INTERNER.label_of(lid) for lid in kernel.suffix_label_ids[i]
             }
             assert as_strings == {
                 graph.label(node)
@@ -128,15 +136,14 @@ class TestGraphKernel:
                 for node in edge.endpoints()
             }
 
-    def test_kernel_cached_and_rebound_on_new_interner(self):
+    def test_kernel_built_once_over_the_process_interner(self):
         rng = random.Random(17)
         graph = random_temporal_graph(rng)
         first = graph.kernel()
         assert graph.kernel() is first
-        shared = LabelInterner()
-        rebound = graph.kernel(shared)
-        assert rebound is not first and rebound.interner is shared
-        assert graph.kernel() is rebound  # cache follows the latest bind
+        assert build_kernels([graph, graph]) == [first, first]
+        labels = [PROCESS_INTERNER.label_of(lid) for lid in first.node_label_ids]
+        assert labels == list(graph.labels)
 
     def test_kernel_requires_frozen_graph(self):
         graph = TemporalGraph()
@@ -254,12 +261,12 @@ class TestExtendEmbeddingsEquivalence:
     def test_random_corpora(self, seed):
         rng = random.Random(seed)
         corpus = random_corpus(rng)
-        kernels = build_kernels(corpus, LabelInterner())
+        kernels = build_kernels(corpus)
         self.grow_levels(corpus, kernels)
 
     def test_multi_edges_and_hubs(self):
         corpus = [hub_graph()]
-        kernels = build_kernels(corpus, LabelInterner())
+        kernels = build_kernels(corpus)
         self.grow_levels(corpus, kernels)
 
     def test_rows_equal_across_paths_and_fields_accessible(self):
@@ -269,7 +276,7 @@ class TestExtendEmbeddingsEquivalence:
         key = sorted(seeds)[0]
         cached = extend_embeddings(corpus, seeds[key])
         explicit = extend_embeddings(
-            corpus, seeds[key], build_kernels(corpus, LabelInterner())
+            corpus, seeds[key], build_kernels(corpus)
         )
         assert cached == explicit
         for table in cached.values():
@@ -467,8 +474,7 @@ class TestResidualAndSignatureEquivalence:
     def test_summaries_match_residual_edges(self, seed):
         rng = random.Random(seed)
         corpus = random_corpus(rng)
-        interner = LabelInterner()
-        kernels = build_kernels(corpus, interner)
+        kernels = build_kernels(corpus)
         seeds = seed_patterns(corpus)
         for key in sorted(seeds)[:10]:
             # the seed's table and its children's: several cuts per graph
@@ -479,7 +485,7 @@ class TestResidualAndSignatureEquivalence:
                 )
                 residuals = [corpus[gid].edges[cut + 1 :] for gid, cut in cuts]
                 labels = {
-                    interner.id_of(corpus[gid].label(node))
+                    PROCESS_INTERNER.id_of(corpus[gid].label(node))
                     for (gid, _cut), edges in zip(cuts, residuals)
                     for edge in edges
                     for node in edge.endpoints()
@@ -497,7 +503,7 @@ class TestResidualAndSignatureEquivalence:
             for cut in range(-1, graph.num_edges):
                 summary = summarize_residuals(kernels, {gid: {Embedding((0, 1), cut)}})
                 assert summary.label_set == {
-                    interner.id_of(graph.label(node))
+                    PROCESS_INTERNER.id_of(graph.label(node))
                     for edge in graph.edges[cut + 1 :]
                     for node in edge.endpoints()
                 }
@@ -547,19 +553,82 @@ class TestResidualAndSignatureEquivalence:
 
 
 # ----------------------------------------------------------------------
-# miner end-to-end sanity: kernels never change the mined outcome
+# miner end-to-end sanity: one kernel per graph, one id space per process
 # ----------------------------------------------------------------------
-class TestMinerUsesSharedInterner:
-    def test_mining_runs_share_one_interner_across_graph_sets(self):
-        from repro.core.miner import MinerConfig, _MiningRun
-
+class TestMinerSharesKernels:
+    def test_mining_runs_read_the_cached_kernels(self):
         rng = random.Random(3)
         positives = random_corpus(rng, count=3)
         negatives = random_corpus(rng, count=3)
         run = _MiningRun(MinerConfig(max_edges=3), positives, negatives)
-        assert all(k.interner is run.interner for k in run.pos_kernels)
-        assert all(k.interner is run.interner for k in run.neg_kernels)
-        # every label of every graph is interned
-        for graph in list(positives) + list(negatives):
-            for label in graph.labels:
-                assert run.interner.id_of(label) is not None
+        assert run.pos_kernels == [graph.kernel() for graph in positives]
+        assert run.neg_kernels == [graph.kernel() for graph in negatives]
+        # equal labels get equal ids across graphs, distinct labels not
+        ids = {}
+        for graph in positives + negatives:
+            for label, lid in zip(graph.labels, graph.kernel().node_label_ids):
+                assert ids.setdefault(label, lid) == lid
+        assert len(set(ids.values())) == len(ids)
+        for label, lid in ids.items():
+            assert PROCESS_INTERNER.label_of(lid) == label
+
+    def test_background_flattened_once_across_runs(self, monkeypatch):
+        rng = random.Random(5)
+        first, second = random_corpus(rng, count=2), random_corpus(rng, count=2)
+        background = random_corpus(rng, count=3)
+        built = []
+        real = GraphKernel.from_graph
+
+        def counting(graph):
+            built.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(GraphKernel, "from_graph", counting)
+        miner = TGMiner(MinerConfig(max_edges=3, min_pos_support=0.5))
+        miner.mine(first, background)
+        kernels = [graph.kernel() for graph in background]
+        miner.mine(second, background)
+        assert [graph.kernel() for graph in background] == kernels
+        # each graph was flattened once: the background in the first run
+        assert built == first + background + second
+
+
+class _YieldingLabel(str):
+    """A label whose hashing lets other threads run, so every dictionary
+    probe of :meth:`LabelInterner.intern` is a possible thread switch."""
+
+    def __hash__(self):
+        time.sleep(0)
+        return str.__hash__(self)
+
+
+class TestInternerThreads:
+    def test_concurrent_interning_stays_a_bijection(self):
+        # more threads than cores, all interning the same new labels: a
+        # miss assigned outside the lock gives one label two ids or two
+        # labels one id
+        interner = LabelInterner()
+        labels = [_YieldingLabel(f"label-{i}") for i in range(400)]
+        barrier = threading.Barrier(4)
+        seen = []
+
+        def work():
+            barrier.wait()
+            seen.append({label: interner.intern(label) for label in labels})
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 4
+        assert all(ids == seen[0] for ids in seen)
+        assert len(interner) == len(labels)
+        assert sorted(seen[0].values()) == list(range(len(labels)))
+        assert all(interner.label_of(lid) == label for label, lid in seen[0].items())

@@ -1,10 +1,11 @@
 """Tests for TGMiner: planted patterns, pruning variants, stats, config,
 that no variant leaves cyclic garbage, that the pruning history's
-saturated-entry rule changes nothing, and that mining restores the
-collector's state."""
+saturated-entry rule and the stop at a final answer change no mined
+pattern, and that mining restores the collector's state."""
 
 import gc
 import random
+import sys
 from dataclasses import fields
 
 import pytest
@@ -20,7 +21,7 @@ from repro.core.miner import (
     _MiningRun,
     miner_variant,
 )
-from repro.core.parallel import ParallelMiner
+from repro.core.parallel import ParallelMiner, mining_fingerprint
 from repro.core.subgraph import SequenceSubgraphTester
 from repro.syscall.collector import build_training_data
 
@@ -249,6 +250,65 @@ class TestSaturatedHistoryEntries:
         # the behavior reaches the maximum score: some entries saturate
         assert stats.saturated_entries > 0
         assert stats.subgraph_tests > 0
+
+
+def mine_exhaustively(miner, positives, negatives):
+    """The stop's oracle: the same run with the finality check off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_MiningRun, "_final", lambda self: False)
+        return miner.mine(positives, negatives)
+
+
+class TestFinalAnswerStop:
+    """A run stops once its best score is F(1, 0) and its co-optimal list
+    is full; the answer is the exhaustive search's."""
+
+    @pytest.fixture
+    def corpus(self, small_corpus):
+        # saturates: best score F(1, 0) and a full list long before the end
+        return small_corpus.behavior("bzip2-decompress"), small_corpus.background
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_stop_keeps_the_exhaustive_answer(self, corpus, name):
+        miner = TGMiner(miner_variant(name, MinerConfig(max_edges=3)))
+        result = miner.mine(*corpus)
+        oracle = mine_exhaustively(miner, *corpus)
+        assert mining_fingerprint(result) == mining_fingerprint(oracle)
+        assert len(result.best) == miner.config.max_best_patterns
+        assert result.stats.stopped_final == 1
+        assert oracle.stats.stopped_final == 0
+        assert not result.stats.timed_out
+        assert result.stats.patterns_explored < oracle.stats.patterns_explored
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_cap_above_co_optimal_count_searches_exhaustively(self, corpus, name):
+        config = MinerConfig(max_edges=3, max_best_patterns=sys.maxsize)
+        miner = TGMiner(miner_variant(name, config))
+        result = miner.mine(*corpus)
+        oracle = mine_exhaustively(miner, *corpus)
+        assert mining_fingerprint(result) == mining_fingerprint(oracle)
+        assert result.best_by_size == oracle.best_by_size
+        for stat in fields(MiningStats):
+            if stat.name != "elapsed_seconds":
+                assert getattr(result.stats, stat.name) == getattr(
+                    oracle.stats, stat.name
+                ), stat.name
+        assert result.stats.stopped_final == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_seeds_stop_on_their_own_lists(self, corpus, workers):
+        # a small cap, so that single seeds fill their own lists
+        config = MinerConfig(max_edges=3, max_best_patterns=8)
+        serial = TGMiner(config).mine(*corpus)
+        result = ParallelMiner(config, workers=workers).mine(*corpus)
+        assert mining_fingerprint(result) == mining_fingerprint(serial)
+        assert result.stats.stopped_final >= 1
+        assert not result.stats.timed_out
+
+    def test_timeout_still_flags_timed_out(self, corpus):
+        result = TGMiner(MinerConfig(max_edges=3, max_seconds=0.0)).mine(*corpus)
+        assert result.stats.timed_out
+        assert result.stats.stopped_final == 0
 
 
 class TestCollectorState:

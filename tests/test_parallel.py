@@ -7,11 +7,14 @@ count, on every bundled workload — including graphs whose concurrent
 edges were sequentialized with the ``random`` policy under a fixed seed.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.experiments.harness import (
 from repro.syscall import build_training_data
 
 WORKER_COUNTS = (1, 2, 3, 4)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +448,37 @@ class TestRunSharded:
         assert run_sharded(tasks, _square, 3, _noop_init, ()) == [
             t * t for t in tasks
         ]
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_initializer_exception_raised_from_pool(self, method):
+        # multiprocessing.Pool replaces a worker that dies in its
+        # initializer and waits forever, so the call runs in a child
+        # process: a hang fails the test at the timeout
+        script = (
+            "import json, sys, time\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "import repro.core.parallel as parallel\n"
+            f"parallel.resolve_start_method = lambda: {method!r}\n"
+            "started = time.perf_counter()\n"
+            "try:\n"
+            "    parallel.run_sharded([1, 2], abs, 2, int, ('x',))\n"
+            "    raised = None\n"
+            "except ValueError as exc:\n"
+            "    raised = str(exc)\n"
+            "print(json.dumps([raised, time.perf_counter() - started]))\n"
+        )
+        before = _shm_entries()
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        raised, seconds = json.loads(out.stdout)
+        assert raised == "invalid literal for int() with base 10: 'x'"
+        assert seconds < 10
+        assert _shm_entries() <= before, "leaked shared-memory segments"
 
 
 def _noop_init():

@@ -1,7 +1,7 @@
 """Tests for residual-graph bookkeeping (paper Section 4.2/4.4, Lemma 6)."""
 
 from repro.core.growth import Embedding
-from repro.core.kernel import LabelInterner, build_kernels
+from repro.core.kernel import PROCESS_INTERNER, build_kernels
 from repro.core.residual import linear_scan_equal, summarize_residuals
 
 from conftest import build_graph
@@ -11,8 +11,12 @@ GRAPHS = [
     build_graph([(0, 1, 0), (1, 2, 1), (2, 0, 2), (0, 2, 3)], labels=["A", "B", "C"]),
     build_graph([(0, 1, 0), (1, 2, 1)], labels=["A", "B", "C"]),
 ]
-INTERNER = LabelInterner()
-KERNELS = build_kernels(GRAPHS, INTERNER)
+KERNELS = build_kernels(GRAPHS)
+
+
+def labels_of(summary):
+    """The residual label set as strings."""
+    return {PROCESS_INTERNER.label_of(lid) for lid in summary.label_set}
 
 
 def table(**cuts):
@@ -46,10 +50,10 @@ class TestSummaries:
     def test_label_set_is_suffix_union(self):
         summary = summarize_residuals(KERNELS, table(g0=[2]))
         # residual edges of graph 0 after index 2: edge (0,2) -> labels A, C
-        assert {INTERNER.label_of(lid) for lid in summary.label_set} == {"A", "C"}
+        assert labels_of(summary) == {"A", "C"}
         # suffix sets nest: the smallest cut's suffix holds the others'
         summary = summarize_residuals(KERNELS, table(g0=[2, 0], g1=[1]))
-        assert {INTERNER.label_of(lid) for lid in summary.label_set} == {"A", "B", "C"}
+        assert labels_of(summary) == {"A", "B", "C"}
 
     def test_label_computation_optional(self):
         summary = summarize_residuals(KERNELS, table(g0=[0]), with_labels=False)
