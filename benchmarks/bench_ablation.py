@@ -10,10 +10,10 @@
 4. Graph-index candidate prefilter on/off — the signature-containment
    stage in front of the miner's subgraph tests must leave the mined
    pattern set byte-identical while skipping most tester invocations.
-5. Serial vs parallel sharded mining — seed-sharded ``ParallelMiner``
-   and behavior-level ``mine_all_behaviors`` fan-out must keep pattern
-   sets byte-identical at every worker count while scaling wall-clock on
-   multi-core hosts; results land in ``BENCH_parallel.json``.
+5. Serial vs parallel mining — behavior-level ``mine_all_behaviors``
+   fan-out must keep pattern sets byte-identical at every worker count
+   while scaling wall-clock on multi-core hosts; results land in
+   ``BENCH_parallel.json``.
 """
 
 import os
@@ -21,7 +21,7 @@ import random
 import time
 
 from repro.core.miner import MinerConfig, TGMiner
-from repro.core.parallel import ParallelMiner, mining_fingerprint
+from repro.core.parallel import mining_fingerprint
 from repro.core.pattern import TemporalPattern
 from repro.core.subgraph import SequenceSubgraphTester
 from repro.experiments.harness import mine_all_behaviors, mine_behavior
@@ -32,7 +32,6 @@ from benchmarks.bench_common import (
     MIN_PARALLEL_SPEEDUP,
     MINING_SECONDS,
     PARALLEL_WORKERS,
-    SEED_MAX_EDGES,
     emit,
     once,
     write_json,
@@ -207,28 +206,19 @@ def test_ablation_index_prefilter(benchmark, train):
 
 
 def test_ablation_parallel_scaling(benchmark, train):
-    """Serial vs sharded mining: identical patterns, scaling wall-clock.
+    """Serial vs fanned-out mining: identical patterns, scaling wall-clock.
 
-    Two parallelism levels are swept: seed-sharded ``ParallelMiner`` on
-    the heaviest single behavior, and behavior-level fan-out over a
-    six-behavior slate.  Byte-identity with the serial miner is asserted
-    unconditionally (unless a run hit the wall-clock cap); the speedup
-    floor is asserted only when the host has as many CPUs as the largest
-    worker count — wall-clock scaling on a 1-core CI box would measure
-    the scheduler, not the sharding.
+    Behavior-level fan-out mines the full behavior slate at one worker
+    and at the largest worker count.  Byte-identity between the two is
+    asserted unconditionally (unless a run hit the wall-clock cap); the
+    speedup floor is asserted only when the host has as many CPUs as the
+    largest worker count — wall-clock scaling on a 1-core CI box would
+    measure the scheduler, not the fan-out.
     """
-    # the deepest single-behavior search (largest seed-shard pool) and a
-    # full-corpus slate: both heavy enough at the default scale that pool
+    # a full-corpus slate: heavy enough at the default scale that pool
     # startup is noise against the mining work being distributed
-    seed_behavior = "sshd-login"
     fan_behaviors = tuple(train.config.behaviors)
     max_workers = max(PARALLEL_WORKERS)
-    seed_config = MinerConfig(
-        max_edges=SEED_MAX_EDGES,
-        min_pos_support=0.7,
-        max_best_patterns=EXHAUSTIVE_CAP,
-        max_seconds=MINING_SECONDS,
-    )
     fan_config = MinerConfig(
         max_edges=FAN_MAX_EDGES,
         min_pos_support=0.7,
@@ -237,16 +227,6 @@ def test_ablation_parallel_scaling(benchmark, train):
     )
 
     def run():
-        seed_rows = {}
-        started = time.perf_counter()
-        serial = mine_behavior(train, seed_behavior, seed_config)
-        seed_rows["serial"] = (time.perf_counter() - started, serial)
-        for workers in PARALLEL_WORKERS:
-            miner = ParallelMiner(seed_config, workers=workers)
-            started = time.perf_counter()
-            result = miner.mine(train.behavior(seed_behavior), train.background)
-            seed_rows[workers] = (time.perf_counter() - started, result)
-
         fan_rows = {}
         for workers in (1, max_workers):
             started = time.perf_counter()
@@ -254,39 +234,24 @@ def test_ablation_parallel_scaling(benchmark, train):
                 train, fan_behaviors, fan_config, workers=workers
             )
             fan_rows[workers] = (time.perf_counter() - started, results)
-        return seed_rows, fan_rows
+        return fan_rows
 
-    seed_rows, fan_rows = once(benchmark, run)
+    fan_rows = once(benchmark, run)
 
-    emit("\n=== Ablation: serial vs parallel sharded mining ===")
-    emit(f"{'level':10s} {'run':>10s} {'seconds':>8s} {'patterns':>9s}")
-    serial_seconds, serial_result = seed_rows["serial"]
-    for label, (seconds, result) in seed_rows.items():
-        emit(
-            f"{'seed':10s} {str(label):>10s} {seconds:8.3f} "
-            f"{result.stats.patterns_explored:9d}"
-            + (" (timed out)" if result.stats.timed_out else "")
-        )
+    emit("\n=== Ablation: serial vs parallel mining (behavior fan-out) ===")
+    emit(f"{'workers':>10s} {'seconds':>8s} {'patterns':>9s}")
     for workers, (seconds, results) in fan_rows.items():
         explored = sum(r.stats.patterns_explored for r in results.values())
         timed_out = any(r.stats.timed_out for r in results.values())
         emit(
-            f"{'behavior':10s} {workers:>10d} {seconds:8.3f} {explored:9d}"
+            f"{workers:>10d} {seconds:8.3f} {explored:9d}"
             + (" (timed out)" if timed_out else "")
         )
 
-    # soundness: sharded pattern sets are byte-identical to serial
+    # soundness: fanned-out pattern sets are byte-identical to serial
     # (timed-out runs stopped mid-search and carry no identity claim)
     mismatches = []
     comparisons = 0
-    serial_fp = mining_fingerprint(serial_result)
-    for workers in PARALLEL_WORKERS:
-        _seconds, result = seed_rows[workers]
-        if serial_result.stats.timed_out or result.stats.timed_out:
-            continue
-        comparisons += 1
-        if mining_fingerprint(result) != serial_fp:
-            mismatches.append(f"seed workers={workers}")
     fan_serial = fan_rows[1][1]
     fan_parallel = fan_rows[max_workers][1]
     for name in fan_behaviors:
@@ -303,26 +268,20 @@ def test_ablation_parallel_scaling(benchmark, train):
     assert comparisons > 0, "all runs hit the wall-clock cap; raise BENCH knobs"
 
     cores = os.cpu_count() or 1
-    seed_speedup = serial_seconds / max(seed_rows[max_workers][0], 1e-9)
     fan_speedup = fan_rows[1][0] / max(fan_rows[max_workers][0], 1e-9)
     emit(
         f"speedup at {max_workers} workers on {cores} cores: "
-        f"seed-sharded {seed_speedup:.2f}x, behavior fan-out {fan_speedup:.2f}x"
+        f"behavior fan-out {fan_speedup:.2f}x"
     )
     write_json(
         "BENCH_parallel.json",
         {
             "cpu_count": cores,
             "worker_counts": list(PARALLEL_WORKERS),
-            "seed_behavior": seed_behavior,
-            "seed_seconds": {
-                str(label): seconds for label, (seconds, _r) in seed_rows.items()
-            },
             "fan_behaviors": list(fan_behaviors),
             "fan_seconds": {
                 str(workers): seconds for workers, (seconds, _r) in fan_rows.items()
             },
-            "seed_speedup": seed_speedup,
             "fan_speedup": fan_speedup,
             "min_speedup_required": MIN_PARALLEL_SPEEDUP,
             "speedup_enforced": cores >= max_workers,
@@ -331,6 +290,6 @@ def test_ablation_parallel_scaling(benchmark, train):
     )
     assert identical, f"parallel output differs from serial: {mismatches}"
     if cores >= max_workers and max_workers > 1:
-        assert (
-            max(seed_speedup, fan_speedup) > MIN_PARALLEL_SPEEDUP
-        ), f"parallel mining regressed: {seed_speedup:.2f}x / {fan_speedup:.2f}x"
+        assert fan_speedup > MIN_PARALLEL_SPEEDUP, (
+            f"parallel mining regressed: {fan_speedup:.2f}x"
+        )

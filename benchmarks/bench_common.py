@@ -61,11 +61,10 @@ MINING_SECONDS = float(
 PARALLEL_WORKERS = tuple(
     int(w) for w in os.environ.get("BENCH_PARALLEL_WORKERS", "1,2,4").split(",")
 )
-#: Pattern-depth knobs for the scaling ablation.  CI's smoke run lowers
-#: them so the tiny corpus mines to completion well inside the cap —
-#: a timed-out run is exempt from the byte-identity assertion, and the
+#: Pattern-depth knob for the scaling ablation.  CI's smoke run lowers
+#: it so the tiny corpus mines to completion well inside the cap — a
+#: timed-out run is exempt from the byte-identity assertion, and the
 #: smoke job exists precisely to enforce that assertion.
-SEED_MAX_EDGES = int(os.environ.get("BENCH_SEED_MAX_EDGES", 6))
 FAN_MAX_EDGES = int(os.environ.get("BENCH_FAN_MAX_EDGES", 5))
 #: Speedup the scaling ablation must show at its largest worker count —
 #: only enforced when the host actually has that many CPUs (wall-clock

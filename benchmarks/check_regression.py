@@ -130,9 +130,6 @@ METRICS = [
     Metric("BENCH_store.json", "scan_ratio", "absolute"),
     Metric("BENCH_parallel.json", "identical", "bool_true"),
     Metric(
-        "BENCH_parallel.json", "seed_speedup", "higher_better", guard="speedup_enforced"
-    ),
-    Metric(
         "BENCH_parallel.json", "fan_speedup", "higher_better", guard="speedup_enforced"
     ),
 ]

@@ -178,7 +178,6 @@ class Workspace:
         behaviors: Sequence[str] | None = None,
         config: MinerConfig | None = None,
         workers: int = 1,
-        seed_workers: int = 1,
         top_k: int = 5,
         slack: float = DEFAULT_SPAN_SLACK,
         store: CorpusStore | str | Path | None = None,
@@ -188,10 +187,9 @@ class Workspace:
 
         Delegates to
         :func:`~repro.experiments.harness.mine_all_behaviors`:
-        ``workers`` fans whole behaviors out across processes,
-        ``seed_workers`` shards each behavior's seed search via
-        :class:`~repro.core.parallel.ParallelMiner` (both byte-identical
-        to the serial miner; they do not compose).  Each behavior's
+        ``workers`` fans whole behaviors out across processes, each
+        running the serial miner (``0`` = one per usable CPU), so every
+        behavior's result is the serial loop's.  Each behavior's
         co-optimal patterns are ranked by the Appendix-M interest model
         and the top ``top_k`` become the behavior's queries, capped at
         the behavior's observed lifetime dilated by ``slack``.
@@ -213,7 +211,6 @@ class Workspace:
                 behaviors=behaviors,
                 config=config,
                 workers=workers,
-                seed_workers=seed_workers,
                 top_k=top_k,
                 slack=slack,
                 memory_budget_mb=memory_budget_mb,
@@ -222,13 +219,7 @@ class Workspace:
             list(behaviors) if behaviors is not None else list(train.config.behaviors)
         )
         config = config or MinerConfig()
-        results = mine_all_behaviors(
-            train,
-            names,
-            config,
-            workers=workers,
-            seed_workers=seed_workers,
-        )
+        results = mine_all_behaviors(train, names, config, workers=workers)
         interest = InterestModel.fit(train.all_graphs())
         records: dict[str, BehaviorRecord] = {}
         for name, result in results.items():
@@ -258,7 +249,6 @@ class Workspace:
                 "instances_per_behavior": train.config.instances_per_behavior,
                 "background_graphs": train.config.background_graphs,
                 "workers": workers,
-                "seed_workers": seed_workers,
                 "top_k": top_k,
                 "slack": slack,
             },
@@ -271,7 +261,6 @@ class Workspace:
         behaviors: Sequence[str] | None,
         config: MinerConfig | None,
         workers: int,
-        seed_workers: int,
         top_k: int,
         slack: float,
         memory_budget_mb: float | None,
@@ -292,7 +281,6 @@ class Workspace:
                 names,
                 config,
                 workers=workers,
-                seed_workers=seed_workers,
                 memory_budget_mb=memory_budget_mb,
             )
             # one streaming pass over the node-label catalog, in the
@@ -348,7 +336,6 @@ class Workspace:
                         BACKGROUND_PARTITION, kind="background"
                     ),
                     "workers": workers,
-                    "seed_workers": seed_workers,
                     "top_k": top_k,
                     "slack": slack,
                 },

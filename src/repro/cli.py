@@ -45,7 +45,6 @@ from repro._version import __version__
 from repro.api import BehaviorModel, Workspace
 from repro.core.errors import ReproError
 from repro.core.miner import MinerConfig, miner_variant
-from repro.core.parallel import default_workers
 from repro.datasets.io import load_events_jsonl, save_events_jsonl
 from repro.serving.checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointedService
 from repro.serving.fleet import (
@@ -172,15 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     mine.add_argument(
-        "--workers",
-        "-j",
-        type=_worker_count,
-        default=1,
-        help="shard the seed search across N processes; 0 = one per CPU "
-        "(mined patterns are byte-identical to the serial run for any "
-        "N, unless a --max-seconds cap cut either search short)",
-    )
-    mine.add_argument(
         "--save-model",
         default=None,
         metavar="PATH",
@@ -215,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-j",
         type=_worker_count,
         default=1,
-        help="mine up to N behaviors concurrently (0 = one per CPU)",
+        help="mine up to N behaviors concurrently (0 = one per usable CPU)",
     )
     exp.add_argument(
         "--save-model",
@@ -447,14 +437,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             index_prefilter=args.index,
         ),
     )
-    # 0 = one worker per CPU, matching `experiment -j 0`
-    seed_workers = args.workers if args.workers != 0 else default_workers()
     if args.corpus is not None:
         model = ws.mine(
             store=args.corpus,
             behaviors=[args.behavior],
             config=config,
-            seed_workers=seed_workers,
             top_k=args.top_k,
         )
     else:
@@ -463,7 +450,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             train,
             behaviors=[args.behavior],
             config=config,
-            seed_workers=seed_workers,
             top_k=args.top_k,
         )
     record = model.record(args.behavior)
@@ -471,7 +457,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     print(
         f"explored {record.patterns_explored} patterns in "
         f"{record.elapsed_seconds:.2f}s; best score {best:.3f}"
-        + (f" ({seed_workers} workers)" if seed_workers > 1 else "")
     )
     if config.index_prefilter:
         print(

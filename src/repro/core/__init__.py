@@ -20,7 +20,7 @@ from repro.core.miner import (
     miner_variant,
     VARIANT_NAMES,
 )
-from repro.core.parallel import ParallelMiner, merge_seed_results, mining_fingerprint
+from repro.core.parallel import mining_fingerprint
 from repro.core.pattern import TemporalPattern
 from repro.core.scoring import GTest, InformationGain, LogRatio, ScoreFunction
 from repro.core.subgraph import (
@@ -49,8 +49,6 @@ __all__ = [
     "MiningStats",
     "miner_variant",
     "VARIANT_NAMES",
-    "ParallelMiner",
-    "merge_seed_results",
     "mining_fingerprint",
     "ScoreFunction",
     "LogRatio",

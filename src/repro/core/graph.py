@@ -74,8 +74,9 @@ class TemporalGraph:
         self._pair_edges: dict[tuple[str, str], list[int]] = {}
         # Array-backed data plane (repro.core.kernel): contiguous int64
         # buffers (repro.core.buffers), built lazily on first use and
-        # never pickled — pool workers rebuild them, and the corpus
-        # store hands in read-only page views via from_frozen_columns().
+        # never pickled — a spawned fan-out worker rebuilds them, and the
+        # corpus store hands in read-only page views via
+        # from_frozen_columns().
         self._col_src: IntColumn | None = None
         self._col_dst: IntColumn | None = None
         self._col_time: IntColumn | None = None
@@ -258,8 +259,8 @@ class TemporalGraph:
         :data:`~repro.core.kernel.PROCESS_INTERNER`, so one kernel serves
         every mining run in the process: a background graph mined
         against many behaviors is flattened once.  The cache is dropped
-        on pickling: under multiprocessing every worker rebuilds its own
-        kernels rather than deserializing them.
+        on pickling: a spawned fan-out worker rebuilds the kernels of the
+        graphs it mines rather than deserializing them.
         """
         self._require_frozen()
         if self._kernel is None:
@@ -317,9 +318,9 @@ class TemporalGraph:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         # The kernel and flat edge columns are cheap, deterministic
-        # derivations; shipping them to pool workers would pickle every
-        # column twice (and memoryview columns cannot pickle at all).
-        # Workers rebuild them lazily on first use.
+        # derivations; shipping them to spawned pool workers would
+        # pickle every column twice (and memoryview columns cannot
+        # pickle at all).  Workers rebuild them lazily on first use.
         state = self.__dict__.copy()
         state["_kernel"] = None
         state["_col_src"] = None

@@ -207,9 +207,8 @@ class MiningStats:
     neither pruning could ever fire on them and the pruning history does
     not index them.  ``stopped_final`` is 1 when the search stopped
     because its answer was final (best score ``F(1, 0)`` and a full
-    co-optimal list), else 0; a sharded run sums it over its seeds.
-    Unlike a timeout, that stop leaves ``best`` exactly as the
-    exhaustive search finds it.
+    co-optimal list), else 0.  Unlike a timeout, that stop leaves
+    ``best`` exactly as the exhaustive search finds it.
     """
 
     patterns_explored: int = 0
@@ -341,9 +340,9 @@ class _MiningRun:
         self.negatives = negatives
         # The run's data plane: the graphs' cached kernels, all interned
         # through the one process-wide interner, so residual label-id
-        # sets union/intersect across positives and negatives (pool
-        # workers build their own — TemporalGraph never pickles its
-        # kernel cache).
+        # sets union/intersect across positives and negatives (a spawned
+        # fan-out worker builds its own — TemporalGraph never pickles
+        # its kernel cache).
         self.pos_kernels = build_kernels(positives)
         self.neg_kernels = build_kernels(negatives)
         self.n_pos = len(positives)
@@ -378,52 +377,6 @@ class _MiningRun:
         return GraphIndexTester()
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Clear search state so one run object can mine seeds in isolation.
-
-        The candidate filter and tester are deliberately retained: their
-        caches (mask bit positions, label indexes) are sound (they never
-        change which patterns are mined, only how fast tests are
-        answered), and rebuilding them per seed would defeat the point
-        of a per-worker run object.  Used by :mod:`repro.core.parallel`
-        to give every seed subtree a fresh pruning history and
-        incumbent set; the fresh counters and incumbents also let each
-        seed stop on its own final list (:meth:`_final`).
-        """
-        self.stats = MiningStats()
-        self.best_score = NEG_INF
-        self.best = []
-        self.best_by_size = {}
-        self.sub_index = {}
-        self.super_index = {}
-        self.deadline = (
-            time.perf_counter() + self.config.max_seconds
-            if self.config.max_seconds is not None
-            else None
-        )
-
-    def run_seed(
-        self, src_label: str, dst_label: str, table: EmbeddingTable
-    ) -> None:
-        """Explore one seed pattern's subtree from its embedding table.
-
-        The collector is paused for the subtree, as in
-        :meth:`TGMiner.mine`, and the subtree's pruning history is
-        released before it resumes: the caller reads only the incumbents
-        and counters, and resets the run before its next seed.
-        """
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            pos_embs, neg_embs = split_seed_table(table, self.n_pos)
-            pattern = TemporalPattern.single_edge(src_label, dst_label)
-            self._dfs(pattern, pos_embs, neg_embs)
-        finally:
-            self.sub_index = {}
-            self.super_index = {}
-            if collecting:
-                gc.enable()
-
     def finalize(self, started: float) -> MiningResult:
         """Rank co-optimals and build the result."""
         self.stats.elapsed_seconds = time.perf_counter() - started

@@ -3,8 +3,9 @@
 A ``spawn`` worker receives its arguments through its start-up pipe,
 which CPython fills with one blocking ``write``.  Past the 64 KiB pipe
 buffer the parent waits until that child has read everything, so a
-pool whose initializer arguments carry a corpus starts its workers one
-at a time.  :func:`repro.core.parallel.run_sharded` therefore pickles a
+pool whose initializer arguments carry a corpus (the behavior fan-out
+ships its background graphs) starts its workers one at a time.
+:func:`repro.core.parallel.run_sharded` therefore pickles a
 pool's start-up state once into one segment (:func:`publish_blob`) and
 hands each worker only the small :class:`BlobDescriptor`; the worker
 reads the payload (:func:`read_blob`) and unpickles the state itself.

@@ -14,10 +14,9 @@ from typing import Sequence
 
 from repro.baselines.nodeset import NodeSetQuery, mine_nodeset_query
 from repro.baselines.ntemp import NtempQuery, mine_ntemp_queries
-from repro.core.errors import MiningError
 from repro.core.graph import TemporalGraph
 from repro.core.miner import MinerConfig, MiningResult, TGMiner
-from repro.core.parallel import ParallelMiner, default_workers, run_sharded
+from repro.core.parallel import default_workers, run_sharded
 from repro.core.pattern import TemporalPattern
 from repro.core.ranking import InterestModel, rank_patterns
 from repro.query.engine import QueryEngine
@@ -124,21 +123,17 @@ def mine_all_behaviors(
     behaviors: Sequence[str] | None = None,
     config: MinerConfig | None = None,
     workers: int | None = 1,
-    seed_workers: int = 1,
 ) -> dict[str, MiningResult]:
     """Mine every behavior of a corpus, fanning runs out across workers.
 
     The paper mines each behavior independently against the shared
-    background set — an embarrassingly parallel outer loop.  With
-    ``workers > 1`` each behavior's full mining run executes in its own
-    pool process (serial :class:`TGMiner` inside, so per-behavior results
-    are trivially byte-identical to a serial loop); ``workers=None`` or
-    ``0`` means one worker per CPU, matching the CLI's ``-j 0``.
-    Alternatively ``seed_workers > 1`` parallelizes *within* each
-    behavior via :class:`~repro.core.parallel.ParallelMiner`'s seed
-    sharding, mining behaviors one after another — the two levels do
-    NOT compose (pool workers are daemonic and cannot spawn a nested
-    pool), so asking for both raises.
+    background set — an embarrassingly parallel outer loop, and the one
+    parallel mining path.  With ``workers > 1`` each behavior's full
+    mining run executes in its own pool process (serial :class:`TGMiner`
+    inside, so per-behavior results, counters included, are the serial
+    loop's); ``workers=None`` or ``0`` means one worker per usable CPU
+    (:func:`~repro.core.parallel.default_workers`), matching the CLI's
+    ``-j 0``.
 
     Returns an ordered mapping ``behavior name -> MiningResult`` in the
     requested (or corpus) behavior order.
@@ -148,18 +143,6 @@ def mine_all_behaviors(
     config = config or MinerConfig()
     config.validate()
     workers = default_workers() if workers in (None, 0) else int(workers)
-    if seed_workers > 1:
-        if workers > 1:
-            raise MiningError(
-                "workers and seed_workers cannot both exceed 1: pool "
-                "workers are daemonic and cannot spawn a nested pool"
-            )
-        return {
-            name: ParallelMiner(config, workers=seed_workers).mine(
-                behavior_map[name], train.background
-            )
-            for name in names
-        }
     try:
         results = run_sharded(
             [(name, behavior_map[name]) for name in names],
@@ -213,7 +196,6 @@ def mine_all_behaviors_from_store(
     behaviors: Sequence[str] | None = None,
     config: MinerConfig | None = None,
     workers: int | None = 1,
-    seed_workers: int = 1,
     memory_budget_mb: float | None = None,
 ) -> dict[str, MiningResult]:
     """:func:`mine_all_behaviors` streaming from a :class:`CorpusStore`.
@@ -223,14 +205,11 @@ def mine_all_behaviors_from_store(
     (plus the shared background set), so peak memory is bounded by the
     largest single partition, not the corpus.  With ``workers > 1``
     tasks carry only behavior *names* — each pool worker attaches to the
-    store file read-only and reads its own graphs.  ``seed_workers``
-    shards within each behavior via
-    :class:`~repro.core.parallel.ParallelMiner` exactly as in the
-    in-memory fan-out (the two levels still do not compose).  Results
-    are byte-identical to :func:`mine_all_behaviors` over the
-    materialized corpus.
+    store file read-only and reads its own graphs.  Results are
+    byte-identical to :func:`mine_all_behaviors` over the materialized
+    corpus.
     """
-    from repro.datasets.store import BACKGROUND_PARTITION, CorpusStore
+    from repro.datasets.store import CorpusStore
 
     opened_here = not isinstance(store, CorpusStore)
     if opened_here:
@@ -240,19 +219,6 @@ def mine_all_behaviors_from_store(
         config = config or MinerConfig()
         config.validate()
         workers = default_workers() if workers in (None, 0) else int(workers)
-        if seed_workers > 1:
-            if workers > 1:
-                raise MiningError(
-                    "workers and seed_workers cannot both exceed 1: pool "
-                    "workers are daemonic and cannot spawn a nested pool"
-                )
-            background = store.load_graphs(BACKGROUND_PARTITION, kind="background")
-            return {
-                name: ParallelMiner(config, workers=seed_workers).mine(
-                    store.load_graphs(name, kind="behavior"), background
-                )
-                for name in names
-            }
         try:
             results = run_sharded(
                 names,

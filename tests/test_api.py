@@ -84,13 +84,12 @@ class TestWorkspaceMine:
             for label in graph.labels:
                 assert label in interner
 
-    def test_mine_with_seed_workers_matches_serial(self, ws, train, model):
-        sharded = ws.mine(
-            train, behaviors=BEHAVIORS, config=CONFIG, seed_workers=2, top_k=3
-        )
+    def test_mine_with_workers_matches_serial(self, ws, train, model):
+        fanned = ws.mine(train, behaviors=BEHAVIORS, config=CONFIG, workers=2, top_k=3)
+        assert fanned.provenance["workers"] == 2
         for name in BEHAVIORS:
-            assert sharded.record(name).patterns == model.record(name).patterns
-            assert sharded.record(name).span_cap == model.record(name).span_cap
+            assert fanned.record(name).patterns == model.record(name).patterns
+            assert fanned.record(name).span_cap == model.record(name).span_cap
 
 
 class TestCorpusRoundTrip:
@@ -279,6 +278,18 @@ class TestBundleValidation:
     def test_config_round_trips_through_manifest(self, model, tmp_path):
         path = model.save(tmp_path / "bundle")
         assert BehaviorModel.load(path).config == CONFIG
+
+    def test_unknown_provenance_key_still_loads(self, model, tmp_path):
+        # provenance is free-form: keys a library no longer writes (older
+        # bundles record the worker count of the retired seed sharding)
+        # load as they are
+        path = model.save(tmp_path / "bundle")
+        manifest = self._manifest(path)
+        manifest["provenance"]["retired_setting"] = 2
+        self._write_manifest(path, manifest)
+        loaded = BehaviorModel.load(path)
+        assert loaded.provenance["retired_setting"] == 2
+        assert loaded.queries() == model.queries()
 
 
 class TestQueryAndServeEquivalence:

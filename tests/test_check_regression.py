@@ -32,11 +32,10 @@ def serving(events_per_probe=2.0, identical=True, **extra):
     }
 
 
-def parallel(identical=True, enforced=False, seed=1.0, fan=1.0):
+def parallel(identical=True, enforced=False, fan=1.0):
     return {
         "identical": identical,
         "speedup_enforced": enforced,
-        "seed_speedup": seed,
         "fan_speedup": fan,
     }
 
@@ -94,11 +93,9 @@ class TestCompare:
     def test_guarded_metric_skipped_without_cores(self, dirs):
         current, baselines = dirs
         write_result(
-            baselines, "BENCH_parallel.json", parallel(enforced=False, seed=2.0)
+            baselines, "BENCH_parallel.json", parallel(enforced=False, fan=2.0)
         )
-        write_result(
-            current, "BENCH_parallel.json", parallel(enforced=False, seed=0.4)
-        )
+        write_result(current, "BENCH_parallel.json", parallel(enforced=False, fan=0.4))
         code, lines = check_regression.compare(current, baselines)
         assert code == check_regression.OK
         assert any("SKIPPED" in line for line in lines)
@@ -109,11 +106,9 @@ class TestCompare:
         without turning every PR red over a hardware asymmetry."""
         current, baselines = dirs
         write_result(
-            baselines, "BENCH_parallel.json", parallel(enforced=False, seed=0.4)
+            baselines, "BENCH_parallel.json", parallel(enforced=False, fan=0.4)
         )
-        write_result(
-            current, "BENCH_parallel.json", parallel(enforced=True, seed=2.0)
-        )
+        write_result(current, "BENCH_parallel.json", parallel(enforced=True, fan=2.0))
         code, lines = check_regression.compare(current, baselines)
         assert code == check_regression.OK
         assert any("UNGUARDED" in line and "--write" in line for line in lines)
@@ -141,12 +136,8 @@ class TestCompare:
 
     def test_guarded_metric_gated_when_enforced(self, dirs):
         current, baselines = dirs
-        write_result(
-            baselines, "BENCH_parallel.json", parallel(enforced=True, seed=2.0)
-        )
-        write_result(
-            current, "BENCH_parallel.json", parallel(enforced=True, seed=1.0)
-        )
+        write_result(baselines, "BENCH_parallel.json", parallel(enforced=True, fan=2.0))
+        write_result(current, "BENCH_parallel.json", parallel(enforced=True, fan=1.0))
         code, _lines = check_regression.compare(current, baselines)
         assert code == check_regression.REGRESSION
 
@@ -155,12 +146,8 @@ class TestCompare:
         current, baselines = dirs
         write_result(baselines, "BENCH_serving.json", serving(events_per_probe=2.0))
         write_result(current, "BENCH_serving.json", serving(events_per_probe=1.0))
-        write_result(
-            baselines, "BENCH_parallel.json", parallel(enforced=True, seed=1.0)
-        )
-        write_result(
-            current, "BENCH_parallel.json", parallel(enforced=True, seed=2.0)
-        )
+        write_result(baselines, "BENCH_parallel.json", parallel(enforced=True, fan=1.0))
+        write_result(current, "BENCH_parallel.json", parallel(enforced=True, fan=2.0))
         code, _lines = check_regression.compare(current, baselines)
         assert code == check_regression.REGRESSION
 

@@ -14,11 +14,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mine", "--train", "x", "--behavior", "nmap"])
 
-    def test_negative_workers_rejected(self):
+    def test_negative_workers_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "--train", "x", "-j", "-1"])
+        assert "worker count must be >= 0" in capsys.readouterr().err
+
+    def test_mine_has_no_workers_flag(self, capsys):
+        # one behavior mines in one process; fan-out is `experiment -j`
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["mine", "--train", "x", "--behavior", "sshd-login", "-j", "-1"]
+                ["mine", "--train", "x", "--behavior", "sshd-login", "-j", "2"]
             )
+        assert "unrecognized arguments: -j 2" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -109,27 +116,34 @@ def packed_queries(corpus, tmp_path_factory):
 
 
 class TestWorkers:
-    def test_mine_parallel_matches_serial_output(self, corpus, capsys):
-        args = [
-            "mine",
-            "--train",
-            str(corpus),
-            "--behavior",
-            "gzip-decompress",
-            "--max-edges",
-            "3",
-        ]
-        assert main(args) == 0
-        serial_out = capsys.readouterr().out
-        assert main(args + ["-j", "2"]) == 0
-        parallel_out = capsys.readouterr().out
-        # identical mined patterns; only the stats line may differ
-        assert serial_out.split("\n\n", 1)[1] == parallel_out.split("\n\n", 1)[1]
-        assert "(2 workers)" in parallel_out
-        # -j 0 = one worker per CPU, mirroring `experiment -j 0`
-        assert main(args + ["-j", "0"]) == 0
-        cpu_out = capsys.readouterr().out
-        assert serial_out.split("\n\n", 1)[1] == cpu_out.split("\n\n", 1)[1]
+    def test_experiment_parallel_matches_serial_output(self, corpus, tmp_path):
+        # fan-out workers run the serial miner: the saved patterns and
+        # queries are the serial run's; -j 0 = one worker per usable CPU
+        def mined(workers):
+            bundle = tmp_path / f"j{workers}"
+            args = [
+                "experiment",
+                "--train",
+                str(corpus),
+                "--behaviors",
+                "gzip-decompress",
+                "bzip2-decompress",
+                "--max-edges",
+                "3",
+                "-j",
+                str(workers),
+                "--save-model",
+                str(bundle),
+            ]
+            assert main(args) == 0
+            return [
+                (bundle / member).read_bytes()
+                for member in ("patterns.jsonl", "queries.jsonl")
+            ]
+
+        serial = mined(1)
+        assert mined(2) == serial
+        assert mined(0) == serial
 
 
 class TestProfile:

@@ -12,7 +12,7 @@ from repro.experiments.harness import (
     mine_behavior,
     span_cap,
 )
-from repro.core.errors import DatasetError, MiningError
+from repro.core.errors import DatasetError
 from repro.core.miner import MinerConfig
 from repro.core.parallel import mining_fingerprint
 from repro.query.engine import QueryEngine
@@ -82,17 +82,6 @@ class TestBehaviorFanOut:
                     serial[name]
                 ), f"{name} workers={workers}"
 
-    def test_seed_workers_compose(self, small_world):
-        train, _test, _engine, _model = small_world
-        config = MinerConfig(max_edges=3, min_pos_support=0.7)
-        serial = mine_behavior(train, "gzip-decompress", config)
-        sharded = mine_all_behaviors(
-            train, ("gzip-decompress",), config, seed_workers=2
-        )
-        assert mining_fingerprint(sharded["gzip-decompress"]) == mining_fingerprint(
-            serial
-        )
-
     def test_defaults_to_corpus_behaviors(self, small_world):
         train, _test, _engine, _model = small_world
         results = mine_all_behaviors(
@@ -104,14 +93,6 @@ class TestBehaviorFanOut:
         train, _test, _engine, _model = small_world
         with pytest.raises(DatasetError):
             mine_all_behaviors(train, ("nmap-scan",))
-
-    def test_both_parallelism_levels_rejected(self, small_world):
-        # pool workers are daemonic and cannot spawn a nested pool
-        train, _test, _engine, _model = small_world
-        with pytest.raises(MiningError):
-            mine_all_behaviors(
-                train, ("gzip-decompress",), workers=2, seed_workers=2
-            )
 
 
 class TestAccuracyEndToEnd:

@@ -21,8 +21,9 @@ from repro.core.miner import (
     _MiningRun,
     miner_variant,
 )
-from repro.core.parallel import ParallelMiner, mining_fingerprint
+from repro.core.parallel import mining_fingerprint
 from repro.core.subgraph import SequenceSubgraphTester
+from repro.experiments.harness import mine_all_behaviors
 from repro.syscall.collector import build_training_data
 
 from conftest import random_temporal_graph
@@ -295,16 +296,6 @@ class TestFinalAnswerStop:
                 ), stat.name
         assert result.stats.stopped_final == 0
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_parallel_seeds_stop_on_their_own_lists(self, corpus, workers):
-        # a small cap, so that single seeds fill their own lists
-        config = MinerConfig(max_edges=3, max_best_patterns=8)
-        serial = TGMiner(config).mine(*corpus)
-        result = ParallelMiner(config, workers=workers).mine(*corpus)
-        assert mining_fingerprint(result) == mining_fingerprint(serial)
-        assert result.stats.stopped_final >= 1
-        assert not result.stats.timed_out
-
     def test_timeout_still_flags_timed_out(self, corpus):
         result = TGMiner(MinerConfig(max_edges=3, max_seconds=0.0)).mine(*corpus)
         assert result.stats.timed_out
@@ -336,22 +327,24 @@ class TestCollectorState:
         assert seen == [False]
         assert gc.isenabled()
 
-    def test_enabled_after_one_worker_parallel_mine(self, corpus):
-        ParallelMiner(MinerConfig(max_edges=3), workers=1).mine(*corpus)
+    def test_enabled_after_one_worker_parallel_mine(self, small_corpus):
+        # a one-worker fan-out mines inline, in this process
+        mine_all_behaviors(
+            small_corpus, ["bzip2-decompress"], MinerConfig(max_edges=3), workers=1
+        )
         assert gc.isenabled()
 
-    @pytest.mark.parametrize(
-        "miner",
-        [
-            TGMiner(MinerConfig(max_edges=3)),
-            ParallelMiner(MinerConfig(max_edges=3), workers=1),
-        ],
-        ids=["serial", "one-worker"],
-    )
-    def test_disabled_collector_stays_disabled(self, corpus, miner):
+    @pytest.mark.parametrize("one_worker", [False, True], ids=["serial", "one-worker"])
+    def test_disabled_collector_stays_disabled(self, small_corpus, corpus, one_worker):
+        config = MinerConfig(max_edges=3)
         gc.disable()
         try:
-            miner.mine(*corpus)
+            if one_worker:
+                mine_all_behaviors(
+                    small_corpus, ["bzip2-decompress"], config, workers=1
+                )
+            else:
+                TGMiner(config).mine(*corpus)
             assert not gc.isenabled()
         finally:
             gc.enable()

@@ -15,7 +15,7 @@ import sqlite3
 import pytest
 
 from repro.api import Workspace
-from repro.core.errors import DatasetError, MiningError
+from repro.core.errors import DatasetError
 from repro.core.graph import TemporalGraph
 from repro.core.miner import MinerConfig
 from repro.datasets.store import (
@@ -23,7 +23,6 @@ from repro.datasets.store import (
     STORE_SCHEMA_VERSION,
     CorpusStore,
 )
-from repro.experiments.harness import mine_all_behaviors_from_store
 from repro.syscall import SyscallEvent
 
 from conftest import build_graph, random_temporal_graph
@@ -55,11 +54,7 @@ def model_content(model):
         )
         for name, r in model.records.items()
     }
-    provenance = {
-        k: v
-        for k, v in model.provenance.items()
-        if k not in ("workers", "seed_workers")
-    }
+    provenance = {k: v for k, v in model.provenance.items() if k != "workers"}
     return model.labels, provenance, records
 
 
@@ -324,50 +319,17 @@ class TestMiningIdentity:
         )
         assert model_content(mined) == model_content(reference)
 
-    def test_store_mining_worker_counts(self, store, reference):
-        # store-vs-memory identity must hold per worker configuration;
-        # exploration counters legitimately differ across seed shard
-        # counts (the parallel contract is mining_fingerprint, which
-        # covers patterns and scores), so sharded runs are compared
-        # against an in-memory run at the same setting.
+    def test_store_mining_worker_counts(self, store):
+        # every fan-out worker runs the serial miner, so the model,
+        # counters included, is the in-memory serial run's at any worker
+        # count; two behaviors, so that two workers start a pool
+        behaviors = [self.BEHAVIOR, "ftp-download"]
+        train = store.load_training_data(behaviors)
+        serial = Workspace().mine(train, behaviors=behaviors, config=FAST, top_k=3)
         fanned = Workspace().mine(
-            store=store,
-            behaviors=[self.BEHAVIOR],
-            config=FAST,
-            top_k=3,
-            workers=2,
+            store=store, behaviors=behaviors, config=FAST, top_k=3, workers=2
         )
-        assert model_content(fanned) == model_content(reference)
-        train = store.load_training_data([self.BEHAVIOR])
-        for seed_workers in (2, 3):
-            sharded = Workspace().mine(
-                store=store,
-                behaviors=[self.BEHAVIOR],
-                config=FAST,
-                top_k=3,
-                seed_workers=seed_workers,
-            )
-            in_memory = Workspace().mine(
-                train,
-                behaviors=[self.BEHAVIOR],
-                config=FAST,
-                top_k=3,
-                seed_workers=seed_workers,
-            )
-            assert model_content(sharded) == model_content(in_memory)
-            assert sharded.record(self.BEHAVIOR).patterns == reference.record(
-                self.BEHAVIOR
-            ).patterns
-
-    def test_worker_modes_do_not_compose(self, store):
-        with pytest.raises(MiningError):
-            mine_all_behaviors_from_store(
-                store,
-                behaviors=[self.BEHAVIOR],
-                config=FAST,
-                workers=2,
-                seed_workers=2,
-            )
+        assert model_content(fanned) == model_content(serial)
 
     def test_mine_needs_exactly_one_source(self, store):
         ws = Workspace()
