@@ -20,6 +20,9 @@ Policy (per metric, relative tolerance ``--tolerance``, default 25%):
   did not (**unenforced**: the gate cannot apply, e.g. because the run
   got too short to measure) → exit 2, restore the run's scale or
   refresh with ``--write``;
+* a ``null`` value (the bench could not measure it at its scale) reads
+  ``INFO … unmeasured`` where the metric is informational, and
+  **unmeasured** → exit 2 where it would be gated;
 * a baselined file missing from the current results → exit 1;
 * a current file with no baseline → exit 2 (add it with ``--write``).
 
@@ -225,11 +228,20 @@ def compare(
         gated = metric.kind == "higher_better" or (
             include_absolute and metric.kind == "absolute"
         )
+        if gated and (cur_value is None or base_value is None):
+            # a null is a value the bench could not measure at its scale
+            note(
+                REFRESH_NEEDED,
+                f"UNMEASURED   {label}: null in the "
+                f"{'current' if cur_value is None else 'baseline'} results, "
+                "so the gate did not apply",
+            )
+            continue
         if not gated:
             note(
                 OK,
-                f"INFO         {label} = {cur_value:,.2f} "
-                f"(base {base_value:,.2f})",
+                f"INFO         {label} = {_info(cur_value)} "
+                f"(base {_info(base_value)})",
             )
             continue
         low, high = base_value * (1 - tolerance), base_value * (1 + tolerance)
@@ -253,6 +265,11 @@ def compare(
                 f"(baseline {base_value:.3f} ± {tolerance:.0%})",
             )
     return worst, lines
+
+
+def _info(value: float | None) -> str:
+    """An informational value as the report prints it."""
+    return "unmeasured" if value is None else f"{value:,.2f}"
 
 
 def write_baselines(current_dir: Path, baseline_dir: Path) -> list[str]:

@@ -8,7 +8,9 @@ graph*.  The miner therefore never re-matches patterns from scratch: each
 pattern carries its embedding table and children inherit extended
 embeddings from one pass over the parent's residual edges: a
 CSR-adjacency walk over the interned kernel (:mod:`repro.core.kernel`)
-that touches only the edges incident to each embedding.
+that touches only the edges incident to each embedding, once per
+distinct node tuple.  A one-edge seed's table is read off the graphs'
+label-pair indexes, one seed at a time, when the search reaches it.
 
 Three growth options (Figure 5) keep T-connectivity and cover the whole
 pattern space (Theorem 1):
@@ -58,28 +60,32 @@ ExtensionKey = tuple[str, object, object]
 
 
 def seed_patterns(
-    graphs: Sequence[TemporalGraph],
-) -> dict[tuple[str, str], EmbeddingTable]:
-    """Enumerate one-edge patterns and their embeddings over ``graphs``.
+    graphs: Sequence[TemporalGraph], key: tuple[str, str]
+) -> EmbeddingTable:
+    """The embedding table of the one-edge pattern ``key`` over ``graphs``.
 
-    Returns a mapping from ``(src_label, dst_label)`` to the embedding
-    table of the corresponding one-edge pattern, read off each frozen
-    graph's one-edge label-pair index
-    (:meth:`TemporalGraph.label_pair_index`).  Self-loop data edges are
-    skipped: the pattern model has no self-loops (injective node mapping
-    over two distinct pattern nodes can never cover one).
+    ``key`` is a ``(src_label, dst_label)`` pair; its rows are read off
+    each frozen graph's one-edge label-pair index
+    (:meth:`TemporalGraph.label_pair_index`), and graphs without a row
+    are left out.  Self-loop data edges are skipped: the pattern model
+    has no self-loops (injective node mapping over two distinct pattern
+    nodes can never cover one).  The miner builds one table per seed it
+    explores, so seeds after its search stops are never built.
     """
-    seeds: dict[tuple[str, str], EmbeddingTable] = {}
+    table: EmbeddingTable = {}
     for gid, graph in enumerate(graphs):
+        idxs = graph.label_pair_index().get(key)
+        if not idxs:
+            continue
         edges = graph.edges
-        for key, idxs in graph.label_pair_index().items():
-            for idx in idxs:
-                edge = edges[idx]
-                if edge.src == edge.dst:
-                    continue
-                table = seeds.setdefault(key, {})
-                table.setdefault(gid, set()).add(Embedding((edge.src, edge.dst), idx))
-    return seeds
+        rows = set()
+        for idx in idxs:
+            edge = edges[idx]
+            if edge.src != edge.dst:
+                rows.add(Embedding((edge.src, edge.dst), idx))
+        if rows:
+            table[gid] = rows
+    return table
 
 
 def extend_embeddings(
@@ -92,6 +98,9 @@ def extend_embeddings(
     For every embedding, every data edge after its cut point that touches
     at least one mapped node yields a child embedding under the forward /
     backward / inward extension key describing it at pattern level.
+    A child row depends only on the node images and the new edge, so
+    embeddings that share their node images are walked once, from their
+    earliest cut: a later cut's incident edges are a subset.
 
     The walk reads the CSR adjacency of the embedding's mapped nodes,
     bisecting each incident edge run to the cut point — work proportional
@@ -115,10 +124,12 @@ def _extend_in_kernel(
 ) -> None:
     """Adjacency-driven extension over one graph's kernel arrays.
 
-    Each edge incident to the embedding is reached exactly once: via the
-    out-run of its (mapped) source for forward/inward growth, via the
-    in-run of its (mapped) destination — with mapped sources skipped —
-    for backward growth.  Self-loops are skipped (patterns have none).
+    The embeddings are first reduced to the earliest cut of each node
+    tuple (see :func:`extend_embeddings`).  Each edge incident to a node
+    tuple after its cut is reached exactly once: via the out-run of its
+    (mapped) source for forward/inward growth, via the in-run of its
+    (mapped) destination — with mapped sources skipped — for backward
+    growth.  Self-loops are skipped (patterns have none).
     The far endpoint of each CSR slot is read from the kernel's
     ``out_dsts``/``in_srcs`` twin lists, not from the edge columns —
     list reads beat buffer scalar access in this loop (the columns'
@@ -141,9 +152,11 @@ def _extend_in_kernel(
     row = tuple.__new__
     local: dict[ExtensionKey, set[Embedding]] = {}
     local_get = local.get
-    for emb in emb_set:
-        nodes = emb[0]
-        cut = emb[1]
+    first_cut: dict[tuple[int, ...], int] = {}
+    for nodes, cut in emb_set:
+        if first_cut.get(nodes, cut) >= cut:
+            first_cut[nodes] = cut
+    for nodes, cut in first_cut.items():
         node_to_pattern = {dn: pi for pi, dn in enumerate(nodes)}
         mapped = node_to_pattern.get
         for pi, dn in enumerate(nodes):

@@ -29,7 +29,9 @@ arrays:
   process-wide :data:`PROCESS_INTERNER`;
 * ``suffix_label_ids`` — the residual node-label sets as frozensets of
   interned ids (the only copy: the miner's subgraph pruning reads them
-  through :func:`~repro.core.residual.summarize_residuals`).
+  through :func:`~repro.core.residual.summarize_residuals`).  Suffixes
+  with equal label sets share one frozenset, so a kernel holds at most
+  distinct-labels + 1 sets, not one per edge.
 
 **Interning contract.**  Kernels and sequence encodings intern through
 one :class:`LabelInterner` per process, :data:`PROCESS_INTERNER`, so a
@@ -220,14 +222,20 @@ class GraphKernel:
         out_indptr, out_indices = _csr(graph._out)
         in_indptr, in_indices = _csr(graph._in)
         # suffix_label_ids[i] = interned labels of nodes touched by edges
-        # i..end; suffix_label_ids[m] is empty.
+        # i..end; suffix_label_ids[m] is empty.  An edge that brings no
+        # new label reuses the next suffix's set, so the list holds at
+        # most distinct-labels + 1 sets.
         m = len(edge_src)
         suffix: list[frozenset[int]] = [frozenset()] * (m + 1)
         acc: set[int] = set()
+        current = suffix[m]
         for i in range(m - 1, -1, -1):
+            size = len(acc)
             acc.add(node_label_ids[edge_src[i]])
             acc.add(node_label_ids[edge_dst[i]])
-            suffix[i] = frozenset(acc)
+            if len(acc) != size:
+                current = frozenset(acc)
+            suffix[i] = current
         return cls(
             edge_src=edge_src,
             edge_dst=edge_dst,

@@ -24,9 +24,12 @@ efficiency baselines of Section 6.3 (``SubPrune``, ``SupPrune``,
 Every run has one data path: it reads each graph's cached
 :class:`~repro.core.kernel.GraphKernel` (built once per process, over the
 process-wide interner, so a background graph mined against many
-behaviors is flattened once), enumerates seeds from each graph's
-one-edge label-pair index, grows embeddings over the kernels' CSR runs
-and reads residual label sets from the kernels' interned suffix sets.
+behaviors is flattened once), builds each one-edge seed's embedding
+tables from the graphs' label-pair indexes when the search reaches that
+seed (never the seeds after the stop, and a seed's negative table only
+once its positive support passes), grows embeddings over the kernels'
+CSR runs and reads residual label sets from the kernels' interned
+suffix sets.
 
 A run stops as soon as its answer is final: once the best score reaches
 ``F(1, 0)``, which no score exceeds, and the co-optimal list holds
@@ -91,7 +94,6 @@ __all__ = [
     "MiningResult",
     "TGMiner",
     "miner_variant",
-    "split_seed_table",
     "VARIANT_NAMES",
 ]
 
@@ -251,20 +253,6 @@ class MiningResult:
         return self.best[:k]
 
 
-def split_seed_table(
-    table: EmbeddingTable, n_pos: int
-) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """Split one seed's embedding table into positive/negative halves.
-
-    :func:`repro.core.growth.seed_patterns` enumerates seeds over the
-    concatenated ``positives + negatives`` list, so graph ids below
-    ``n_pos`` are positive and the rest are negatives re-based to 0.
-    """
-    pos = {g: e for g, e in table.items() if g < n_pos}
-    neg = {g - n_pos: e for g, e in table.items() if g >= n_pos}
-    return pos, neg
-
-
 @dataclass
 class _HistoryEntry:
     """A fully-explored pattern retained for pruning lookups.
@@ -389,17 +377,27 @@ class _MiningRun:
         )
 
     def execute(self) -> MiningResult:
+        """Explore the one-edge seeds in label-pair order until the stop.
+
+        Seeds are the positives' label pairs; at zero support a pair only
+        the negatives carry is a seed too.
+        """
         started = time.perf_counter()
-        seeds = seed_patterns(list(self.positives) + list(self.negatives))
         min_count = self.config.min_pos_support * self.n_pos
-        for src_label, dst_label in sorted(seeds):
-            table = seeds[(src_label, dst_label)]
-            # cheap support pre-check before materializing the split
-            if sum(1 for gid in table if gid < self.n_pos) < min_count:
+        keys: set[tuple[str, str]] = set()
+        for graph in self.positives:
+            keys.update(graph.label_pair_index())
+        if min_count <= 0:
+            for graph in self.negatives:
+                keys.update(graph.label_pair_index())
+        for key in sorted(keys):
+            pos_embs = seed_patterns(self.positives, key)
+            if len(pos_embs) < min_count:
                 continue
-            pos_embs, neg_embs = split_seed_table(table, self.n_pos)
-            pattern = TemporalPattern.single_edge(src_label, dst_label)
-            self._dfs(pattern, pos_embs, neg_embs)
+            neg_embs = seed_patterns(self.negatives, key)
+            if not pos_embs and not neg_embs:
+                continue  # only self-loops carry this pair
+            self._dfs(TemporalPattern.single_edge(*key), pos_embs, neg_embs)
             if self._stop():
                 break
         return self.finalize(started)

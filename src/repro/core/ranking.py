@@ -49,6 +49,9 @@ class InterestModel:
     blacklist: Sequence[str] = DEFAULT_BLACKLIST
     _freq: dict[str, int] = field(default_factory=dict)
     _total_graphs: int = 0
+    # label -> interest, filled on first read (``_freq`` is written only
+    # while fitting, so a memoized value never goes stale)
+    _interest: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def fit(
@@ -82,13 +85,16 @@ class InterestModel:
 
     def label_interest(self, label: str) -> float:
         """``1 / freq(label)``, or 0 for blacklisted / unseen labels."""
-        lowered = label.lower()
-        if any(token in lowered for token in self.blacklist):
-            return 0.0
-        count = self._freq.get(label, 0)
-        if count == 0:
-            return 0.0
-        return 1.0 / count
+        interest = self._interest.get(label)
+        if interest is None:
+            lowered = label.lower()
+            count = self._freq.get(label, 0)
+            if count == 0 or any(token in lowered for token in self.blacklist):
+                interest = 0.0
+            else:
+                interest = 1.0 / count
+            self._interest[label] = interest
+        return interest
 
     def pattern_interest(self, pattern: TemporalPattern) -> float:
         """Sum of node-label interests over the pattern's nodes."""

@@ -40,6 +40,16 @@ def parallel(identical=True, enforced=False, fan=1.0):
     }
 
 
+def recovery(overhead_pct=28.5, efficiency=0.78, enforced=False):
+    return {
+        "identical": True,
+        "durable_efficiency": efficiency,
+        "overhead_enforced": enforced,
+        "overhead_pct": overhead_pct,
+        "recovery_seconds": 0.01,
+    }
+
+
 def store(enforced=True, efficiency=1.0):
     return {
         "identical": True,
@@ -181,6 +191,24 @@ class TestCompare:
         )
         assert code == check_regression.REGRESSION
 
+
+    def test_null_informational_value_reads_unmeasured(self, dirs):
+        current, baselines = dirs
+        write_result(baselines, "BENCH_recovery.json", recovery())
+        # the bench writes null when the run left no compute to divide by
+        payload = recovery(overhead_pct=None, efficiency=None)
+        write_result(current, "BENCH_recovery.json", payload)
+        code, lines = check_regression.compare(current, baselines)
+        assert code == check_regression.OK
+        unmeasured = "BENCH_recovery.json:overhead_pct = unmeasured (base 28.50)"
+        assert any(line.startswith("INFO") and unmeasured in line for line in lines)
+        assert any("SKIPPED" in line and "durable_efficiency" in line for line in lines)
+        # gated, a null cannot pass as within the band
+        code, lines = check_regression.compare(
+            current, baselines, include_absolute=True
+        )
+        assert code == check_regression.REFRESH_NEEDED
+        assert any("UNMEASURED" in line and "overhead_pct" in line for line in lines)
 
     def test_rebuild_speedup_informational(self, dirs):
         current, baselines = dirs

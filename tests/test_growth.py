@@ -19,20 +19,23 @@ from conftest import build_graph, random_temporal_graph
 class TestSeeds:
     def test_seed_patterns_group_by_label_pair(self):
         g = build_graph([(0, 1, 0), (1, 2, 1), (0, 2, 2)], labels=["A", "B", "A"])
-        seeds = seed_patterns([g])
-        assert set(seeds) == {("A", "B"), ("B", "A"), ("A", "A")}
-        assert seeds[("A", "B")][0] == {Embedding((0, 1), 0)}
+        assert seed_patterns([g], ("A", "B")) == {0: {Embedding((0, 1), 0)}}
+        assert seed_patterns([g], ("B", "A")) == {0: {Embedding((1, 2), 1)}}
+        assert seed_patterns([g], ("A", "A")) == {0: {Embedding((0, 2), 2)}}
+        assert seed_patterns([g], ("B", "B")) == {}
 
     def test_seed_patterns_skip_self_loops(self):
         g = build_graph([(0, 0, 0), (0, 1, 1)], labels=["A", "B"])
-        seeds = seed_patterns([g])
-        assert set(seeds) == {("A", "B")}
+        assert seed_patterns([g], ("A", "A")) == {}
+        assert seed_patterns([g], ("A", "B")) == {0: {Embedding((0, 1), 1)}}
 
     def test_seed_patterns_multiple_graphs(self):
         g1 = build_graph([(0, 1, 0)], labels=["A", "B"])
-        g2 = build_graph([(0, 1, 5)], labels=["A", "B"])
-        seeds = seed_patterns([g1, g2])
-        assert set(seeds[("A", "B")]) == {0, 1}
+        g2 = build_graph([(0, 1, 5)], labels=["A", "C"])
+        g3 = build_graph([(0, 1, 5)], labels=["A", "B"])
+        # graphs without a row are left out; ids stay the list positions
+        assert set(seed_patterns([g1, g2, g3], ("A", "B"))) == {0, 2}
+        assert set(seed_patterns([g1, g2, g3], ("A", "C"))) == {1}
 
 
 class TestExtensions:

@@ -135,6 +135,12 @@ class TestGraphKernel:
                 for edge in graph.edges[i:]
                 for node in edge.endpoints()
             }
+        # suffixes with equal label sets share one frozenset
+        labels = {
+            graph.label(node) for edge in graph.edges for node in edge.endpoints()
+        }
+        sets = {id(label_ids) for label_ids in kernel.suffix_label_ids}
+        assert len(sets) <= len(labels) + 1
 
     def test_kernel_built_once_over_the_process_interner(self):
         rng = random.Random(17)
@@ -182,6 +188,23 @@ def oracle_table(pattern, corpus):
         if rows:
             table[gid] = rows
     return table
+
+
+def seed_tables(corpus):
+    """Every one-edge seed's non-empty table over ``corpus``, by label pair."""
+    keys = sorted({key for graph in corpus for key in graph.label_pair_index()})
+    tables = {key: seed_patterns(corpus, key) for key in keys}
+    return {key: table for key, table in tables.items() if table}
+
+
+def extend_one_at_a_time(corpus, table):
+    """The union of every embedding's children, each extended on its own."""
+    union = {}
+    for gid, rows in table.items():
+        for row in rows:
+            for key, child in extend_embeddings(corpus, {gid: {row}}).items():
+                union.setdefault(key, {}).setdefault(gid, set()).update(child[gid])
+    return union
 
 
 def extension_keys(pattern, alphabet):
@@ -233,10 +256,10 @@ class TestExtendEmbeddingsEquivalence:
     def grow_levels(self, corpus, kernels, levels=3, seed_cap=12, fan=6):
         """Walk several growth generations checking every key each step."""
         alphabet = sorted({label for graph in corpus for label in graph.labels})
-        seeds = seed_patterns(corpus)
         for pair in itertools.product(alphabet, repeat=2):
             pattern = TemporalPattern.single_edge(*pair)
-            assert seeds.get(pair, {}) == oracle_table(pattern, corpus), pair
+            assert seed_patterns(corpus, pair) == oracle_table(pattern, corpus), pair
+        seeds = seed_tables(corpus)
         frontier = [
             (TemporalPattern.single_edge(*pair), seeds[pair])
             for pair in sorted(seeds)[:seed_cap]
@@ -269,10 +292,34 @@ class TestExtendEmbeddingsEquivalence:
         kernels = build_kernels(corpus)
         self.grow_levels(corpus, kernels)
 
+    def test_node_tuple_at_several_cuts(self):
+        """Embeddings sharing their node images are walked once, from the
+        earliest cut; the children equal each embedding's on its own."""
+        graph = TemporalGraph()
+        a, b, c = (graph.add_node(label) for label in "ABC")
+        steps = [(a, b), (a, b), (b, c), (a, b), (c, a), (b, a), (a, b), (c, b)]
+        for t, (src, dst) in enumerate(steps):
+            graph.add_edge(src, dst, t)
+        corpus = [graph.freeze()]
+        alphabet = sorted(set(graph.labels))
+        parent = TemporalPattern.single_edge("A", "B")
+        table = seed_patterns(corpus, ("A", "B"))
+        assert {row.last_index for row in table[0]} == {0, 1, 3, 6}
+        assert {row.nodes for row in table[0]} == {(a, b)}
+        grown = extend_embeddings(corpus, table)
+        assert grown == extend_one_at_a_time(corpus, table)
+        for key in extension_keys(parent, alphabet):
+            child = child_pattern(parent, key)
+            assert grown.get(key, {}) == oracle_table(child, corpus), key
+        # inward children keep the node tuple: the next level shares it too
+        inward = grown[("i", 0, 1)]
+        assert len(inward[0]) > 1 and {row.nodes for row in inward[0]} == {(a, b)}
+        assert extend_embeddings(corpus, inward) == extend_one_at_a_time(corpus, inward)
+
     def test_rows_equal_across_paths_and_fields_accessible(self):
         rng = random.Random(23)
         corpus = random_corpus(rng, count=2)
-        seeds = seed_patterns(corpus)
+        seeds = seed_tables(corpus)
         key = sorted(seeds)[0]
         cached = extend_embeddings(corpus, seeds[key])
         explicit = extend_embeddings(
@@ -475,7 +522,7 @@ class TestResidualAndSignatureEquivalence:
         rng = random.Random(seed)
         corpus = random_corpus(rng)
         kernels = build_kernels(corpus)
-        seeds = seed_patterns(corpus)
+        seeds = seed_tables(corpus)
         for key in sorted(seeds)[:10]:
             # the seed's table and its children's: several cuts per graph
             children = extend_embeddings(corpus, seeds[key], kernels)

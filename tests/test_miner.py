@@ -1,9 +1,11 @@
 """Tests for TGMiner: planted patterns, pruning variants, stats, config,
 that no variant leaves cyclic garbage, that the pruning history's
 saturated-entry rule and the stop at a final answer change no mined
-pattern, and that mining restores the collector's state."""
+pattern, that mining restores the collector's state, and one digest
+pinning every mined answer and counter on a fixed corpus."""
 
 import gc
+import hashlib
 import random
 import sys
 from dataclasses import fields
@@ -26,7 +28,7 @@ from repro.core.subgraph import SequenceSubgraphTester
 from repro.experiments.harness import mine_all_behaviors
 from repro.syscall.collector import build_training_data
 
-from conftest import random_temporal_graph
+from conftest import build_graph, random_temporal_graph
 
 
 def planted_dataset(seed=0, n_pos=8, n_neg=8, noise=6):
@@ -300,6 +302,116 @@ class TestFinalAnswerStop:
         result = TGMiner(MinerConfig(max_edges=3, max_seconds=0.0)).mine(*corpus)
         assert result.stats.timed_out
         assert result.stats.stopped_final == 0
+
+
+class _SeedRecordingRun(_MiningRun):
+    """A run that lists the one-edge seeds its search explores."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.seeds: list[tuple] = []
+
+    def _dfs(self, pattern, pos_embs, neg_embs):
+        if pattern.num_edges == 1:
+            self.seeds.append(pattern.labels)
+        return super()._dfs(pattern, pos_embs, neg_embs)
+
+
+class TestOnDemandSeeds:
+    """Seed tables are built per label pair as the search reaches them;
+    the seeds explored are the ones the whole-corpus table gave."""
+
+    @staticmethod
+    def explored_seeds(support, positives, negatives):
+        config = MinerConfig(
+            max_edges=1, min_pos_support=support, max_best_patterns=sys.maxsize
+        )
+        run = _SeedRecordingRun(config, positives, negatives)
+        run.execute()
+        return run.seeds
+
+    def corpus(self):
+        # (P, Q) only in a positive; (N, M) only in a negative; (S, S)
+        # only on self-loops; (C, C) a self-loop in the positive but a
+        # real edge between two C nodes in the negative
+        positive = build_graph(
+            [(0, 1, 0), (2, 2, 1), (3, 3, 2)], labels=["P", "Q", "S", "C"]
+        )
+        negative = build_graph(
+            [(0, 1, 0), (2, 2, 1), (3, 4, 2)], labels=["N", "M", "S", "C", "C"]
+        )
+        return [positive], [negative]
+
+    def test_zero_support_explores_negative_only_pairs(self):
+        seeds = self.explored_seeds(0.0, *self.corpus())
+        assert seeds == [("C", "C"), ("N", "M"), ("P", "Q")]
+
+    def test_positive_support_explores_positive_pairs_only(self):
+        for support in (0.5, 1.0):
+            assert self.explored_seeds(support, *self.corpus()) == [("P", "Q")]
+
+    @pytest.mark.parametrize("support", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeds_match_the_whole_corpus_table(self, support, seed):
+        pos, neg = random_mining_sets(seed)
+        n_pos = len(pos)
+        counts = {}  # label pair -> graphs with a non-self-loop edge, by side
+        for side, graphs in enumerate((pos, neg)):
+            for graph in graphs:
+                pairs = {
+                    (graph.label(e.src), graph.label(e.dst))
+                    for e in graph.edges
+                    if e.src != e.dst
+                }
+                for pair in pairs:
+                    counts.setdefault(pair, [0, 0])[side] += 1
+        expected = [
+            pair for pair in sorted(counts) if counts[pair][0] >= support * n_pos
+        ]
+        assert self.explored_seeds(support, pos, neg) == expected
+
+
+#: sha256 of :func:`counter_digest` over ``small_corpus``.  A change that
+#: leaves every mined pattern and counter alone keeps it; one that moves
+#: any of them (a counter's meaning, a pruning rule, the generator) must
+#: say why and record the new value.
+COUNTER_DIGEST = "b1ef12d523e2c028d5ce95a586d9f33dfc144e6c5f3bf22ad00829a8f000c2a3"
+
+
+def counter_digest(corpus) -> str:
+    """One hash over every run's answer and counters.
+
+    Each behavior is mined by the six variants at ``max_edges=3`` and
+    ``min_pos_support`` 0, 0.5 and 1; each run adds its
+    :func:`mining_fingerprint`, its ``best_by_size`` and every
+    :class:`MiningStats` field but ``elapsed_seconds``.
+    """
+    digest = hashlib.sha256()
+    for behavior in sorted(corpus.behaviors):
+        positives = corpus.behavior(behavior)
+        for support in (0.0, 0.5, 1.0):
+            for name in VARIANT_NAMES:
+                base = MinerConfig(max_edges=3, min_pos_support=support)
+                result = TGMiner(miner_variant(name, base)).mine(
+                    positives, corpus.background
+                )
+                by_size = [
+                    (size, m.pattern.key(), m.score, m.pos_freq, m.neg_freq)
+                    for size, m in sorted(result.best_by_size.items())
+                ]
+                counters = [
+                    (stat.name, getattr(result.stats, stat.name))
+                    for stat in fields(MiningStats)
+                    if stat.name != "elapsed_seconds"
+                ]
+                run = (behavior, support, name, mining_fingerprint(result))
+                digest.update(repr((*run, by_size, counters)).encode())
+    return digest.hexdigest()
+
+
+class TestCounterPin:
+    def test_answers_and_counters_unchanged(self, small_corpus):
+        assert counter_digest(small_corpus) == COUNTER_DIGEST
 
 
 class TestCollectorState:

@@ -42,6 +42,19 @@ class TestInterestModel:
         )
         assert model.label_interest("file:TmpFile9") == 0.0
 
+    def test_memoized_values_equal_the_formula(self):
+        model = InterestModel.fit(make_corpus())
+        expected = {
+            "file:/tmp/scratch": 0.0,  # blacklisted, though counted once
+            "file:never-seen": 0.0,  # unseen
+            "file:common": 1.0 / 2,  # counted in two graphs
+        }
+        for _ in range(3):  # the first read fills the memo, later ones hit it
+            for label, value in expected.items():
+                assert model.label_interest(label) == value
+        assert model == InterestModel.fit(make_corpus())  # memo not compared
+        assert "_interest" not in repr(model)
+
     def test_default_blacklist_covers_paper_examples(self):
         assert any("tmp" in item for item in DEFAULT_BLACKLIST)
         assert any("/proc/" in item for item in DEFAULT_BLACKLIST)
