@@ -48,7 +48,6 @@ class InterestModel:
 
     blacklist: Sequence[str] = DEFAULT_BLACKLIST
     _freq: dict[str, int] = field(default_factory=dict)
-    _total_graphs: int = 0
     # label -> interest, filled on first read (``_freq`` is written only
     # while fitting, so a memoized value never goes stale)
     _interest: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
@@ -78,7 +77,6 @@ class InterestModel:
         """
         model = cls(blacklist=tuple(blacklist))
         for label_set in label_sets:
-            model._total_graphs += 1
             for label in label_set:
                 model._freq[label] = model._freq.get(label, 0) + 1
         return model

@@ -33,8 +33,10 @@ from a corrupt ``snapshot-3`` to ``snapshot-2`` replays ``wal-2`` then
 ``wal-3`` and reaches the same state.  The recovered service is
 **span-identical** at every batch boundary to one that never crashed:
 the window events rebuild an identical graph (global edge ids renumber,
-but id order == time order on both sides), ``_seen`` and the batch
-counter are restored exactly, and replayed batches re-derive exactly
+but id order == time order on both sides), ``_seen`` (through
+:meth:`~repro.serving.service.DetectionService.restore_seen`, which
+rebuilds the expiry heaps) and the batch counter are restored exactly,
+and replayed batches re-derive exactly
 the detections the pre-crash service reported (``tests/test_recovery.py``
 asserts this property under randomized kill points).
 
@@ -500,10 +502,12 @@ def _service_from_payload(
     service.graph.stats = StreamStats(**payload["graph_stats"])
     for key, value in payload["stats"].items():
         setattr(service.stats, key, value)
-    service._seen = {
-        int(query_id): {tuple(span) for span in spans}
-        for query_id, spans in payload["seen"].items()
-    }
+    service.restore_seen(
+        {
+            int(query_id): {tuple(span) for span in spans}
+            for query_id, spans in payload["seen"].items()
+        }
+    )
     service.reloads = payload["reloads"]
     return service
 

@@ -57,8 +57,9 @@ import re
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import (
@@ -71,6 +72,7 @@ from repro.core.errors import (
 )
 from repro.datasets.io import event_from_dict, event_to_dict
 from repro.serving.contracts import ServingHandle
+from repro.serving.fleet import FleetDetection
 from repro.serving.model_registry import ModelRegistry
 from repro.serving.service import DetectionService
 
@@ -125,6 +127,48 @@ def _detection_to_dict(detection) -> dict:
         if value is not None:
             payload[extra] = value
     return payload
+
+
+#: One detection as JSON, with :func:`_detection_to_dict`'s keys in its
+#: order and ``json.dumps``'s separators; a fleet detection adds two keys.
+_DETECTION_JSON = '{"query": %s, "start": %d, "end": %d, "query_id": %d, "batch": %d}'
+_FLEET_DETECTION_JSON = _DETECTION_JSON[:-1] + ', "tenant": %s, "shard": %d}'
+
+
+class _Quoted(dict):
+    """JSON string literals of the names in one reply, each escaped once."""
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+def _encode_ingest_reply(ingested: int, detections: Sequence, batch: int) -> bytes:
+    """The ingest reply's JSON, written straight from the detection records.
+
+    Byte-identical to ``json.dumps`` of ``{"ingested": ..., "detections":
+    [_detection_to_dict(d), ...], "batch": ...}`` for service and fleet
+    detections, without a dict per detection or the generic encoder.
+    """
+    quoted = _Quoted()
+    items = []
+    for d in detections:
+        if type(d) is FleetDetection:
+            items.append(
+                _FLEET_DETECTION_JSON
+                % (
+                    quoted[d.query], d.start, d.end, d.query_id, d.batch,
+                    quoted[d.tenant], d.shard,
+                )
+            )
+        else:
+            items.append(
+                _DETECTION_JSON % (quoted[d.query], d.start, d.end, d.query_id, d.batch)
+            )
+    reply = '{"ingested": %d, "detections": [%s], "batch": %d}' % (
+        ingested, ", ".join(items), batch
+    )
+    return reply.encode("ascii")
 
 
 def _span_key(detection) -> tuple[str, int, int]:
@@ -216,7 +260,8 @@ class DetectionServer:
         self.max_inflight = max_inflight
         self.retry_after = retry_after
         self._lock = threading.RLock()
-        self._recent: deque[dict] = deque(maxlen=detections_capacity)
+        # detection records; GET /v1/detections serializes them on read
+        self._recent: deque = deque(maxlen=detections_capacity)
         self._canary: _CanaryRun | None = None
         # admission control: the pipeline behind _lock is single-threaded,
         # so "inflight" = ingest requests executing or queued on the lock;
@@ -227,7 +272,8 @@ class DetectionServer:
         self._draining = False
 
     # ------------------------------------------------------------------
-    # endpoint implementations (JSON dict in -> JSON dict out)
+    # endpoint implementations (JSON dict in -> JSON dict out; ingest
+    # returns its reply already encoded)
     # ------------------------------------------------------------------
     def handle_healthz(self) -> dict:
         with self._lock:
@@ -256,7 +302,8 @@ class DetectionServer:
                     payload["status"] = str(detail["status"])
             return payload
 
-    def handle_ingest(self, body: dict) -> dict:
+    def handle_ingest(self, body: dict) -> bytes:
+        """Ingest one batch; returns the reply's JSON bytes, not a dict."""
         events_payload = body.get("events")
         if not isinstance(events_payload, list):
             raise HttpError(400, "ingest body must carry an 'events' list")
@@ -284,14 +331,12 @@ class DetectionServer:
                 detections = self.handle.ingest(events)
                 if self._canary is not None and not self._canary.done:
                     self._canary.step(events, detections)
-                serialized = [_detection_to_dict(d) for d in detections]
-                for payload in serialized:
-                    self._recent.append(payload)
-                return {
-                    "ingested": len(events),
-                    "detections": serialized,
-                    "batch": self.handle.stats.batches - 1,
-                }
+                # only a batch's newest `maxlen` can stay in the ring (at
+                # maxlen 0 the slice is the whole batch, which it drops)
+                self._recent.extend(detections[-self._recent.maxlen :])
+                batch = self.handle.stats.batches - 1
+            # records are immutable: encode outside the pipeline lock
+            return _encode_ingest_reply(len(events), detections, batch)
         finally:
             with self._gate:
                 self._inflight -= 1
@@ -303,7 +348,10 @@ class DetectionServer:
             if limit < 0:
                 raise HttpError(400, f"limit must be >= 0, got {limit}")
             recent = recent[-limit:] if limit else []
-        return {"detections": recent, "capacity": self._recent.maxlen}
+        return {
+            "detections": [_detection_to_dict(d) for d in recent],
+            "capacity": self._recent.maxlen,
+        }
 
     def handle_stats(self) -> dict:
         with self._lock:
@@ -444,9 +492,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
-    # header and body go out as separate writes; without TCP_NODELAY the
-    # second write can sit behind the peer's delayed ACK (~40ms/request
-    # on loopback), dwarfing actual ingest time
+    # a reply past one segment goes out in several; without TCP_NODELAY
+    # the last can sit behind the peer's delayed ACK (~40ms/request on
+    # loopback), dwarfing actual ingest time
     disable_nagle_algorithm = True
 
     @property
@@ -455,17 +503,28 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     # -- framing --------------------------------------------------------
     def _reply(
-        self, status: int, payload: dict, retry_after: float | None = None
+        self, status: int, payload: dict | bytes, retry_after: float | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Send one reply: ``payload`` is a JSON dict or its encoded bytes."""
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             # ceil to whole seconds: Retry-After is delta-seconds per RFC
             self.send_header("Retry-After", str(max(1, int(retry_after + 0.999))))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            # no status line or headers in HTTP/0.9: the body alone
+            self.wfile.write(body)
+            return
+        # end_headers() would write the head on its own and wake the
+        # client twice; the body joins the header buffer instead, so the
+        # status line, headers and body leave in one write
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0) or 0)
@@ -500,7 +559,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             self._reply(500, {"error": f"internal error: {exc}", "status": 500})
 
-    def _route(self, method: str) -> dict:
+    def _route(self, method: str) -> dict | bytes:
         parts = urlsplit(self.path)
         path = parts.path.rstrip("/") or "/"
         app = self.app

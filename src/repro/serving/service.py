@@ -32,6 +32,12 @@ equivalence holds for every query, however many matches it has, as
 long as each live entity key keeps one label (the window indexes an
 edge under its nodes' labels; a key that leaves the window and returns
 relabeled is a new node to the stream but not to the batch graph).
+
+The dedup state is one set of reported spans per query, plus a min-heap
+of the same spans keyed by start time.  A batch takes its new spans as
+one set difference, and an evicting batch pops the heap until its
+smallest start is live again, so expiry costs the spans that expire,
+not the spans that are kept.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ import math
 import random
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.faults import FaultPlan
@@ -165,9 +172,12 @@ def merged_latency_percentile(
     return weighted[-1][0]
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One identified behavior instance reported by the service."""
+class Detection(NamedTuple):
+    """One identified behavior instance reported by the service.
+
+    A named tuple, built once per reported span: it also compares,
+    orders and iterates as the tuple of its fields.
+    """
 
     query_id: int
     query: str
@@ -318,7 +328,10 @@ class DetectionService:
         self.faults = faults
         self.fault_scope = fault_scope or {}
         self._explicit_window = window_span
+        # reported spans per query, and the same spans as a heap by start
+        # (derived state: snapshots write only the sets)
         self._seen: dict[int, set[Span]] = {}
+        self._expiry: dict[int, list[Span]] = {}
 
     @classmethod
     def recover(
@@ -378,6 +391,7 @@ class DetectionService:
             )
         query_id = self.registry.register(query)
         self._seen[query_id] = set()
+        self._expiry[query_id] = []
         return query_id
 
     def register_all(self, queries: Sequence[BehaviorQuery]) -> list[int]:
@@ -432,12 +446,8 @@ class DetectionService:
                     "shorten the query cap"
                 )
         registry = QueryRegistry()
-        seen: dict[int, set[Span]] = {}
-        ids: list[int] = []
-        for query in queries:
-            query_id = registry.register(query)
-            seen[query_id] = set()
-            ids.append(query_id)
+        ids = [registry.register(query) for query in queries]
+        seen: dict[int, set[Span]] = {query_id: set() for query_id in ids}
         if self.graph.num_edges:
             start_index = self.graph.first_live_index
             for query_id, query in registry:
@@ -449,9 +459,21 @@ class DetectionService:
                     min_last_index=start_index,
                 )
         self.registry = registry
-        self._seen = seen
+        self.restore_seen(seen)
         self.reloads += 1
         return ids
+
+    def restore_seen(self, seen: dict[int, set[Span]]) -> None:
+        """Install the reported spans of every registered query.
+
+        The one way dedup state enters a service other than by ingest:
+        the reload warm-up and snapshot restore
+        (:mod:`repro.serving.checkpoint`) both go through here, so the
+        expiry heaps are always rebuilt from the sets they index.
+        """
+        self._seen = seen
+        # a sorted list is a valid heap
+        self._expiry = {query_id: sorted(spans) for query_id, spans in seen.items()}
 
     # ------------------------------------------------------------------
     # ingestion
@@ -484,14 +506,18 @@ class DetectionService:
         detections: list[Detection] = []
         match_started = _time.perf_counter()
         for query_id, query in survivors:
-            spans = self._new_spans(query, delta.start_index, delta.min_time)
             seen = self._seen[query_id]
-            for span in spans:
-                if span not in seen:
-                    seen.add(span)
-                    detections.append(
-                        Detection(query_id, query.name, span[0], span[1], batch_index)
-                    )
+            fresh = self._new_spans(query, delta.start_index, delta.min_time) - seen
+            if not fresh:
+                continue
+            seen |= fresh
+            expiry = self._expiry[query_id]
+            name = query.name
+            for span in sorted(fresh):
+                heappush(expiry, span)
+                detections.append(
+                    Detection(query_id, name, span[0], span[1], batch_index)
+                )
         self.stats.matching_seconds += _time.perf_counter() - match_started
         self.stats.detections += len(detections)
         if delta.evicted:
@@ -524,7 +550,7 @@ class DetectionService:
     # ------------------------------------------------------------------
     def _new_spans(
         self, query: BehaviorQuery, delta_start: int, delta_min_time: int
-    ) -> list[Span]:
+    ) -> set[Span]:
         """Distinct spans of matches whose last edge lies in the delta.
 
         Any such match has its last edge at time ``>= delta_min_time``,
@@ -539,14 +565,12 @@ class DetectionService:
             self.graph.first_live_index,
             self.graph.index_after_time(delta_min_time - query.max_span),
         )
-        return sorted(
-            find_spans(
-                query.pattern,
-                self.graph,
-                max_span=query.max_span,
-                start_index=start_index,
-                min_last_index=delta_start,
-            )
+        return find_spans(
+            query.pattern,
+            self.graph,
+            max_span=query.max_span,
+            start_index=start_index,
+            min_last_index=delta_start,
         )
 
     def _prune_seen(self) -> None:
@@ -555,12 +579,14 @@ class DetectionService:
         A span is only ever re-found (after tail reinsertion) while all
         of its edges are live, so spans starting before the window's
         oldest live time are safe to drop — this bounds dedup memory by
-        the window, not the stream length.
+        the window, not the stream length.  Each query's heap yields its
+        expired spans in start order, so the spans kept are not touched.
         """
         bounds = self.graph.window_bounds()
         if bounds is None:
             return
         oldest = bounds[0]
-        for query_id, seen in self._seen.items():
-            if seen:
-                self._seen[query_id] = {s for s in seen if s[0] >= oldest}
+        for query_id, expiry in self._expiry.items():
+            seen = self._seen[query_id]
+            while expiry and expiry[0][0] < oldest:
+                seen.discard(heappop(expiry))
