@@ -69,6 +69,11 @@ Span = tuple[int, int]
 DEFAULT_SCAN_WIDTH_CAPS = 8
 
 
+def _edge_label_pairs(pattern) -> set[tuple[str, str]]:
+    """The ``(src_label, dst_label)`` pairs of a pattern's edges."""
+    return {(pattern.label(u), pattern.label(v)) for u, v in pattern.edges}
+
+
 @dataclass(frozen=True)
 class BehaviorEvaluation:
     """One behavior's batch-query outcome: pooled spans (+ accuracy)."""
@@ -427,17 +432,18 @@ class Workspace:
             # sound prefilter via the stored one-edge index: a pattern
             # edge whose label pair never occurs in the log cannot match
             # anywhere, so the whole query is skipped unscanned
-            present = store.pair_labels(log)
-            active: dict[str, list] = {}
-            for name in names:
-                active[name] = [
-                    query
-                    for query in model.record(name).queries()
-                    if all(
-                        (query.pattern.label(u), query.pattern.label(v)) in present
-                        for u, v in query.pattern.edges
-                    )
-                ]
+            candidates = [
+                (name, query, _edge_label_pairs(query.pattern))
+                for name in names
+                for query in model.record(name).queries()
+            ]
+            present = store.pair_labels(
+                log, set().union(*(pairs for _name, _query, pairs in candidates))
+            )
+            active: dict[str, list] = {name: [] for name in names}
+            for name, query, pairs in candidates:
+                if pairs <= present:
+                    active[name].append(query)
             cap = max(
                 (query.max_span for queries in active.values() for query in queries),
                 default=0,

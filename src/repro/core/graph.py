@@ -16,10 +16,11 @@ Patterns (timestamps normalized to ``1..|E|``) live in
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.buffers import IntColumn, int_column
 from repro.core.errors import GraphError, TimestampOrderError
@@ -45,6 +46,44 @@ class TemporalEdge:
         return (self.src, self.dst)
 
 
+#: A frozen graph's object layer: ``(edges, out, in, label -> nodes)``,
+#: where ``out[n]``/``in[n]`` list the indexes of the edges leaving and
+#: entering node ``n``, ascending.
+_ObjectLayer = tuple[
+    list[TemporalEdge], list[list[int]], list[list[int]], dict[str, list[int]]
+]
+
+
+def _nodes_by_label(labels: Sequence[str]) -> dict[str, list[int]]:
+    index: dict[str, list[int]] = {}
+    for node, label in enumerate(labels):
+        index.setdefault(label, []).append(node)
+    return index
+
+
+def _adjacency(
+    num_nodes: int, src: Iterable[int], dst: Iterable[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per node, the ascending indexes of the edges leaving and entering it."""
+    out: list[list[int]] = [[] for _ in range(num_nodes)]
+    inn: list[list[int]] = [[] for _ in range(num_nodes)]
+    for idx, (s, d) in enumerate(zip(src, dst)):
+        out[s].append(idx)
+        inn[d].append(idx)
+    return out, inn
+
+
+def _pair_index(
+    labels: Sequence[str], src: IntColumn, dst: IntColumn
+) -> dict[tuple[str, str], list[int]]:
+    """Label pair -> time-sorted edge indexes, read off the edge columns."""
+    index: dict[tuple[str, str], list[int]] = {}
+    label = labels.__getitem__
+    for idx, key in enumerate(zip(map(label, src), map(label, dst))):
+        index.setdefault(key, []).append(idx)
+    return index
+
+
 class TemporalGraph:
     """A node-labeled directed temporal multigraph with total edge order.
 
@@ -54,29 +93,36 @@ class TemporalGraph:
     provided, in which case the graph sorts and validates them at
     :meth:`freeze` time.
 
-    The class supports cheap, index-backed access patterns needed by the
-    miner: edges sorted by time, per-node adjacency, per-label node lists
-    and the one-edge label-pair index.  Residual-graph bookkeeping reads
-    the interned-label kernel (:meth:`kernel`).
+    A frozen graph is its flat edge columns (:meth:`edge_arrays`) plus
+    its time list and one-edge label-pair index: what the miner, the
+    kernel (:meth:`kernel`) and the span join read.  The object layer —
+    :class:`TemporalEdge` objects, per-node adjacency and per-label node
+    lists, behind :attr:`edges`, :meth:`out_edges`/:meth:`in_edges`, the
+    degree methods and :meth:`nodes_with_label` — is built by
+    :meth:`freeze` from the edges it sorted, and by a graph made from
+    columns (:meth:`from_frozen_columns`, :meth:`window`) on first use.
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._labels: list[str] = []
+        # the construction list; a frozen graph reads its edges from the
+        # object layer instead
         self._edges: list[TemporalEdge] = []
         self._frozen = False
         self._next_auto_time = 0
-        # Lazily built indexes (freeze() populates them).
-        self._out: list[list[int]] = []
-        self._in: list[list[int]] = []
-        self._label_nodes: dict[str, list[int]] = {}
+        # Every frozen graph holds its time list and its one-edge
+        # label-pair index (freeze() or from_frozen_columns() builds them).
         self._edge_times: list[int] = []
         self._pair_edges: dict[tuple[str, str], list[int]] = {}
+        # The object layer: ``(edges, out, in, label -> nodes)``, published
+        # in one assignment.  freeze() builds it from the edges it sorted;
+        # a graph made from columns builds it on first use.
+        self._objects: _ObjectLayer | None = None
         # Array-backed data plane (repro.core.kernel): contiguous int64
-        # buffers (repro.core.buffers), built lazily on first use and
-        # never pickled — a spawned fan-out worker rebuilds them, and the
-        # corpus store hands in read-only page views via
-        # from_frozen_columns().
+        # buffers (repro.core.buffers).  from_frozen_columns() adopts the
+        # columns it is handed (such as read-only views of a corpus-store
+        # page); a graph built with add_edge() derives them on first use.
         self._col_src: IntColumn | None = None
         self._col_dst: IntColumn | None = None
         self._col_time: IntColumn | None = None
@@ -136,19 +182,36 @@ class TemporalGraph:
         return self
 
     def _build_indexes(self) -> None:
-        n = len(self._labels)
-        self._out = [[] for _ in range(n)]
-        self._in = [[] for _ in range(n)]
-        self._label_nodes = {}
-        self._pair_edges = {}
-        self._edge_times = [e.time for e in self._edges]
-        for node, label in enumerate(self._labels):
-            self._label_nodes.setdefault(label, []).append(node)
-        for idx, edge in enumerate(self._edges):
-            self._out[edge.src].append(idx)
-            self._in[edge.dst].append(idx)
-            key = (self._labels[edge.src], self._labels[edge.dst])
-            self._pair_edges.setdefault(key, []).append(idx)
+        edges = self._edges
+        labels = self._labels
+        n = len(labels)
+        out: list[list[int]] = [[] for _ in range(n)]
+        inn: list[list[int]] = [[] for _ in range(n)]
+        pair_edges: dict[tuple[str, str], list[int]] = {}
+        self._edge_times = [e.time for e in edges]
+        for idx, edge in enumerate(edges):
+            out[edge.src].append(idx)
+            inn[edge.dst].append(idx)
+            key = (labels[edge.src], labels[edge.dst])
+            pair_edges.setdefault(key, []).append(idx)
+        self._pair_edges = pair_edges
+        self._objects = (edges, out, inn, _nodes_by_label(labels))
+
+    def _layer(self) -> _ObjectLayer:
+        """The object layer, built from the edge columns on first use."""
+        self._require_frozen()
+        layer = self._objects
+        if layer is None:
+            _base, src, dst, time = self.edge_arrays()
+            layer = (
+                list(map(TemporalEdge, src, dst, time)),
+                *_adjacency(len(self._labels), src, dst),
+                _nodes_by_label(self._labels),
+            )
+            # one assignment publishes the whole layer, so a concurrent
+            # reader sees all of it or none of it
+            self._objects = layer
+        return layer
 
     # ------------------------------------------------------------------
     # read access
@@ -166,12 +229,12 @@ class TemporalGraph:
     @property
     def num_edges(self) -> int:
         """Number of edges."""
-        return len(self._edges)
+        return len(self._edge_times) if self._frozen else len(self._edges)
 
     @property
     def edges(self) -> Sequence[TemporalEdge]:
         """Edges sorted by timestamp (once frozen)."""
-        return self._edges
+        return self._layer()[0] if self._frozen else self._edges
 
     @property
     def labels(self) -> Sequence[str]:
@@ -188,28 +251,40 @@ class TemporalGraph:
 
     def nodes_with_label(self, label: str) -> Sequence[int]:
         """Return node ids carrying ``label`` (empty if none)."""
-        self._require_frozen()
-        return self._label_nodes.get(label, ())
+        return self._layer()[3].get(label, ())
 
     def out_edges(self, node: int) -> Iterator[TemporalEdge]:
         """Iterate edges leaving ``node``."""
-        self._require_frozen()
-        return (self._edges[i] for i in self._out[node])
+        edges, out, _in, _nodes = self._layer()
+        return (edges[i] for i in out[node])
 
     def in_edges(self, node: int) -> Iterator[TemporalEdge]:
         """Iterate edges entering ``node``."""
-        self._require_frozen()
-        return (self._edges[i] for i in self._in[node])
+        edges, _out, inn, _nodes = self._layer()
+        return (edges[i] for i in inn[node])
 
     def out_degree(self, node: int) -> int:
         """Number of edges leaving ``node``."""
-        self._require_frozen()
-        return len(self._out[node])
+        return len(self._layer()[1][node])
 
     def in_degree(self, node: int) -> int:
         """Number of edges entering ``node``."""
+        return len(self._layer()[2][node])
+
+    def adjacency(self) -> tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]:
+        """``(out, in)``: per node, the ascending indexes of the edges
+        leaving and entering it — what the kernel's CSR flattens.
+
+        The object layer's lists once it is built (:meth:`freeze` builds
+        it); otherwise derived from the edge columns, without building
+        the layer.
+        """
         self._require_frozen()
-        return len(self._in[node])
+        layer = self._objects
+        if layer is not None:
+            return layer[1], layer[2]
+        _base, src, dst, _time = self.edge_arrays()
+        return _adjacency(len(self._labels), src, dst)
 
     def edges_between(self, src_label: str, dst_label: str) -> Sequence[int]:
         """Edge indexes whose endpoints carry the given labels, by time.
@@ -238,17 +313,19 @@ class TemporalGraph:
         """Flat ``(base, src, dst, time)`` edge columns (base is 0).
 
         The columns are contiguous int64 buffers (see
-        :mod:`repro.core.buffers`): built once on first access and
-        cached, or — for graphs reconstructed by
-        :meth:`from_frozen_columns` — the columns handed in there, such
-        as read-only views of a corpus-store page.  They are what the
-        joins of :mod:`repro.core.graph_index` scan instead of per-edge
-        objects.
+        :mod:`repro.core.buffers`): for graphs reconstructed by
+        :meth:`from_frozen_columns`, the columns handed in there, such as
+        read-only views of a corpus-store page; for graphs built with
+        :meth:`add_edge`, built once on first access and cached.  They
+        are what the joins of :mod:`repro.core.graph_index` and the
+        kernel scan instead of per-edge objects.
         """
         self._require_frozen()
-        if self._col_src is None:
-            self._col_src = int_column(edge.src for edge in self._edges)
-            self._col_dst = int_column(edge.dst for edge in self._edges)
+        if self._col_time is None:
+            edges = self._edges
+            self._col_src = int_column(edge.src for edge in edges)
+            self._col_dst = int_column(edge.dst for edge in edges)
+            # published last: a set time column marks all three built
             self._col_time = int_column(self._edge_times)
         return (0, self._col_src, self._col_dst, self._col_time)
 
@@ -285,9 +362,10 @@ class TemporalGraph:
 
         Raises :class:`GraphError` on an empty graph.
         """
-        if not self._edges:
+        times = self._edge_times if self._frozen else [e.time for e in self._edges]
+        if not times:
             raise GraphError("span() on empty graph")
-        return (self._edges[0].time, self._edges[-1].time)
+        return (times[0], times[-1])
 
     def window(self, start: int, end: int, name: str = "") -> "TemporalGraph":
         """Extract the subgraph induced by edges with ``start <= t <= end``.
@@ -296,18 +374,17 @@ class TemporalGraph:
         monitoring logs into per-interval training/test graphs.
         """
         self._require_frozen()
-        sub = TemporalGraph(name=name or f"{self.name}[{start},{end}]")
-        remap: dict[int, int] = {}
-        lo = bisect_right(self._edge_times, start - 1)
-        for i in range(lo, len(self._edges)):
-            edge = self._edges[i]
-            if edge.time > end:
-                break
-            for node in edge.endpoints():
-                if node not in remap:
-                    remap[node] = sub.add_node(self._labels[node])
-            sub.add_edge(remap[edge.src], remap[edge.dst], edge.time)
-        return sub.freeze()
+        _base, src, dst, time = self.edge_arrays()
+        lo = bisect_left(self._edge_times, start)
+        hi = bisect_right(self._edge_times, end, lo)
+        labels = self._labels
+        return TemporalGraph.from_window_columns(
+            name or f"{self.name}[{start},{end}]",
+            src[lo:hi],
+            dst[lo:hi],
+            time[lo:hi],
+            lambda nodes: [labels[node] for node in nodes],
+        )
 
     def _require_frozen(self) -> None:
         if not self._frozen:
@@ -317,19 +394,26 @@ class TemporalGraph:
     # dunder / misc
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # The kernel and flat edge columns are cheap, deterministic
-        # derivations; shipping them to spawned pool workers would
-        # pickle every column twice (and memoryview columns cannot
-        # pickle at all).  Workers rebuild them lazily on first use.
+        # A frozen graph travels as its columns, time list and pair index:
+        # the kernel and the object layer are cheap, deterministic
+        # derivations that a spawned pool worker rebuilds on first use.
+        # Memoryview page columns cannot pickle, so columns travel as
+        # arrays.
         state = self.__dict__.copy()
         state["_kernel"] = None
-        state["_col_src"] = None
-        state["_col_dst"] = None
-        state["_col_time"] = None
+        if self._frozen:
+            _base, src, dst, time = self.edge_arrays()
+            state.update(
+                _edges=[],
+                _objects=None,
+                _col_src=int_column(src),
+                _col_dst=int_column(dst),
+                _col_time=int_column(time),
+            )
         return state
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return self.num_edges
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -351,25 +435,56 @@ class TemporalGraph:
         The columns must describe an already-frozen graph: time-sorted,
         strictly increasing timestamps, endpoints in ``0..len(labels)-1``
         — exactly what :meth:`edge_arrays` of a frozen graph returns.
-        They are adopted as the graph's cached columns *without copying*,
-        so read-only views of a corpus-store page stay views (the
-        :class:`~repro.datasets.store.CorpusStore` decode path); only the
-        object-layer indexes are rebuilt locally.  No validation re-runs —
-        the writer froze the original, and freezing is deterministic.
+        They are adopted as the graph's columns *without copying*, so
+        read-only views of a corpus-store page stay views (the
+        :class:`~repro.datasets.store.CorpusStore` decode path).  Only the
+        time list and the one-edge label-pair index are derived here; the
+        object layer (edge objects, per-node adjacency, label -> nodes)
+        is built on first use, so mining or querying the graph never
+        builds it.  No validation re-runs — the writer froze the
+        original, and freezing is deterministic.
         """
         graph = cls(name=name)
-        graph._labels = list(labels)
-        graph._edges = [
-            TemporalEdge(s, d, t) for s, d, t in zip(src, dst, time)
-        ]
-        graph._build_indexes()
-        if graph._edges:
-            graph._next_auto_time = graph._edges[-1].time + 1
-        graph._frozen = True
+        graph._labels = labels = list(labels)
+        graph._edge_times = times = list(time)
+        graph._pair_edges = _pair_index(labels, src, dst)
+        if times:
+            graph._next_auto_time = times[-1] + 1
         graph._col_src = src
         graph._col_dst = dst
         graph._col_time = time
+        graph._frozen = True
         return graph
+
+    @classmethod
+    def from_window_columns(
+        cls,
+        name: str,
+        src: IntColumn,
+        dst: IntColumn,
+        time: IntColumn,
+        labels_of: Callable[[list[int]], Sequence[str]],
+    ) -> "TemporalGraph":
+        """A frozen graph of a time range cut from a larger graph's columns.
+
+        ``src``/``dst``/``time`` are the range's edges, in time order,
+        with the larger graph's node ids.  Nodes are renumbered in first
+        encounter order (each edge's source before its destination), and
+        ``labels_of`` maps the larger graph's ids of the kept nodes, in
+        that order, to their labels.  This is the one remap behind
+        :meth:`window` and :meth:`CorpusStore.window
+        <repro.datasets.store.CorpusStore.window>`, whose results are
+        byte-identical.
+        """
+        nodes = list(dict.fromkeys(chain.from_iterable(zip(src, dst))))
+        ids = dict(zip(nodes, range(len(nodes))))
+        return cls.from_frozen_columns(
+            name,
+            labels_of(nodes),
+            int_column(map(ids.__getitem__, src)),
+            int_column(map(ids.__getitem__, dst)),
+            time,
+        )
 
     @classmethod
     def from_events(

@@ -66,8 +66,9 @@ def seed_patterns(
 
     ``key`` is a ``(src_label, dst_label)`` pair; its rows are read off
     each frozen graph's one-edge label-pair index
-    (:meth:`TemporalGraph.label_pair_index`), and graphs without a row
-    are left out.  Self-loop data edges are skipped: the pattern model
+    (:meth:`TemporalGraph.label_pair_index`) and edge columns
+    (:meth:`TemporalGraph.edge_arrays`), and graphs without a row are
+    left out.  Self-loop data edges are skipped: the pattern model
     has no self-loops (injective node mapping over two distinct pattern
     nodes can never cover one).  The miner builds one table per seed it
     explores, so seeds after its search stops are never built.
@@ -77,12 +78,12 @@ def seed_patterns(
         idxs = graph.label_pair_index().get(key)
         if not idxs:
             continue
-        edges = graph.edges
+        _base, src, dst, _time = graph.edge_arrays()
         rows = set()
         for idx in idxs:
-            edge = edges[idx]
-            if edge.src != edge.dst:
-                rows.add(Embedding((edge.src, edge.dst), idx))
+            s, d = src[idx], dst[idx]
+            if s != d:
+                rows.add(Embedding((s, d), idx))
         if rows:
             table[gid] = rows
     return table

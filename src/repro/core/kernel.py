@@ -219,8 +219,9 @@ class GraphKernel:
         labels = graph.labels
         intern = PROCESS_INTERNER.intern
         node_label_ids = [intern(label) for label in labels]
-        out_indptr, out_indices = _csr(graph._out)
-        in_indptr, in_indices = _csr(graph._in)
+        out_rows, in_rows = graph.adjacency()
+        out_indptr, out_indices = _csr(out_rows)
+        in_indptr, in_indices = _csr(in_rows)
         # suffix_label_ids[i] = interned labels of nodes touched by edges
         # i..end; suffix_label_ids[m] is empty.  An edge that brings no
         # new label reuses the next suffix's set, so the list holds at

@@ -25,10 +25,12 @@ live once in a ``labels`` table and every column stores int64 ids.
 Readers are streaming: :meth:`iter_graphs` decodes one graph at a time
 (single-page graphs reconstruct zero-copy via ``memoryview.cast`` into
 the blob, multi-page graphs concatenate into one ``array('q')``), and
-:meth:`window` / :meth:`iter_windows` rebuild only the pages a time
-range overlaps.  Reconstructed graphs go through
-:meth:`TemporalGraph.from_frozen_columns`, so they are byte-identical to
-the in-memory originals and build their CSR kernels lazily on first use.
+:meth:`window` / :meth:`iter_windows` read only the pages a time range
+overlaps, cut to the range by bisection.  Reconstructed graphs go
+through :meth:`TemporalGraph.from_frozen_columns`, so they are
+byte-identical to the in-memory originals and build their CSR kernels
+and their edge objects lazily, on first use.  Each read resolves the
+label ids it names in one statement (see :meth:`CorpusStore._label_map`).
 
 The file carries a schema version and per-object sha256 checksums
 (:meth:`verify`), mirroring the ``.tgm`` bundle / registry conventions;
@@ -47,12 +49,13 @@ from __future__ import annotations
 import hashlib
 import sqlite3
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.buffers import INT_TYPECODE, IntColumn
+from repro.core.buffers import INT_BYTES, INT_TYPECODE, IntColumn
 from repro.core.errors import DatasetError
 from repro.core.graph import TemporalGraph
 from repro.syscall.events import SyscallEvent
@@ -87,6 +90,16 @@ BACKGROUND_PARTITION = "background"
 #: logs intern entity *keys* too, which are high-cardinality — an
 #: unbounded cache would quietly break the memory-budget contract.
 _LABEL_CACHE_CAP = 1 << 16
+
+#: Host parameters bound per statement by the batched label and pair
+#: reads: SQLite's smallest default host-parameter limit (999 before 3.32).
+_PARAMS_PER_STATEMENT = 999
+
+
+def _chunks(values: Sequence, size: int) -> Iterator[Sequence]:
+    """``values`` in consecutive slices of at most ``size`` items."""
+    return (values[lo : lo + size] for lo in range(0, len(values), size))
+
 
 _SCHEMA = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -356,25 +369,39 @@ class CorpusStore:
         self._label_ids[label] = lid
         return lid
 
-    def _label_of(self, lid: int) -> str:
-        label = self._id_labels.get(lid)
-        if label is not None:
-            return label
-        row = self._conn.execute(
-            "SELECT label FROM labels WHERE id = ?", (lid,)
-        ).fetchone()
-        if row is None:
-            raise DatasetError(
-                f"corpus store {self._path}: dangling label id {lid}"
-            )
-        return self._remember_label(lid, row[0])
+    def _label_map(self, ids: Iterable[int]) -> dict[int, str]:
+        """``id -> label`` for every id in ``ids``.
 
-    def _remember_label(self, lid: int, label: str) -> str:
-        if lid not in self._id_labels:
-            if len(self._id_labels) >= _LABEL_CACHE_CAP:
-                self._id_labels.pop(next(iter(self._id_labels)))
-            self._id_labels[lid] = label
-        return label
+        The uncached ids resolve in one ``WHERE id IN (...)`` statement
+        (one per :data:`_PARAMS_PER_STATEMENT` ids), so a read costs one
+        statement however many labels it names, and none once they are
+        cached.  An id the ``labels`` table lacks raises
+        :class:`DatasetError`.
+        """
+        cache = self._id_labels
+        wanted = set(ids)
+        # a map of its own: what the bounded cache keeps may change while
+        # a generator still reads the map
+        table = {lid: cache[lid] for lid in wanted if lid in cache}
+        pending = sorted(wanted.difference(table))
+        for chunk in _chunks(pending, _PARAMS_PER_STATEMENT):
+            table.update(
+                self._conn.execute(
+                    "SELECT id, label FROM labels WHERE id IN"
+                    f" ({', '.join('?' * len(chunk))})",
+                    chunk,
+                )
+            )
+        for lid in pending:
+            label = table.get(lid)
+            if label is None:
+                raise DatasetError(
+                    f"corpus store {self._path}: dangling label id {lid}"
+                )
+            if len(cache) >= _LABEL_CACHE_CAP:
+                cache.pop(next(iter(cache)))
+            cache[lid] = label
+        return table
 
     # ------------------------------------------------------------------
     # writes
@@ -640,35 +667,69 @@ class CorpusStore:
                 return 0
             return row[0]
 
-    def pair_labels(self, partition: str) -> set[tuple[str, str]]:
-        """All ``(src_label, dst_label)`` pairs occurring in a partition.
+    def pair_labels(
+        self, partition: str, pairs: Iterable[tuple[str, str]] | None = None
+    ) -> set[tuple[str, str]]:
+        """The ``(src_label, dst_label)`` pairs occurring in a partition:
+        all of them, or with ``pairs`` those of ``pairs`` that occur.
 
         The store-level face of the one-edge substructure index: a query
-        pattern containing a pair absent from this set cannot match
-        anywhere in the partition, so callers skip it without decoding a
-        single edge page.  One statement resolves the label ids too, and
-        the resolved labels warm the cache that :meth:`window` decodes
-        node labels through.
+        pattern containing a pair absent from the partition cannot match
+        anywhere in it, so callers skip it without decoding a single edge
+        page.  Rows are read through ``pair_index``'s primary key on the
+        partition's gids.  Listing every pair resolves their label ids in
+        one more statement, which warms the cache that :meth:`window`
+        decodes node labels through.  Asking about ``pairs`` (the
+        store-backed query asks about its patterns' edges) resolves their
+        labels to ids in one statement and probes the key for each pair
+        in one more, however many pairs the partition holds.
         """
-        pairs: set[tuple[str, str]] = set()
+        gids = "SELECT gid FROM graphs WHERE partition = ?"
         with self._wrap():
-            for src, dst, src_label, dst_label in self._conn.execute(
-                "SELECT DISTINCT p.src_label, p.dst_label, s.label, d.label"
-                " FROM pair_index p JOIN graphs g ON g.gid = p.gid"
-                " LEFT JOIN labels s ON s.id = p.src_label"
-                " LEFT JOIN labels d ON d.id = p.dst_label"
-                " WHERE g.partition = ?",
-                (partition,),
-            ):
-                if src_label is None or dst_label is None:
-                    dangling = src if src_label is None else dst
-                    raise DatasetError(
-                        f"corpus store {self._path}: dangling label id {dangling}"
+            if pairs is None:
+                rows = self._conn.execute(
+                    "SELECT src_label, dst_label FROM pair_index"
+                    f" WHERE gid IN ({gids})",
+                    (partition,),
+                ).fetchall()
+                table = self._label_map(chain.from_iterable(rows))
+                return {(table[src], table[dst]) for src, dst in rows}
+            wanted = set(pairs)
+            labels = sorted(set(chain.from_iterable(wanted)))
+            ids: dict[str, int] = {}
+            for chunk in _chunks(labels, _PARAMS_PER_STATEMENT):
+                ids.update(
+                    self._conn.execute(
+                        "SELECT label, id FROM labels WHERE label IN"
+                        f" ({', '.join('?' * len(chunk))})",
+                        chunk,
                     )
-                self._remember_label(src, src_label)
-                self._remember_label(dst, dst_label)
-                pairs.add((src_label, dst_label))
-        return pairs
+                )
+            keys = sorted(
+                {
+                    (ids[src], ids[dst])
+                    for src, dst in wanted
+                    if src in ids and dst in ids
+                }
+            )
+            found: set[tuple[int, int]] = set()
+            # two parameters per pair and one for the partition
+            for chunk in _chunks(keys, _PARAMS_PER_STATEMENT // 2):
+                found.update(
+                    self._conn.execute(
+                        "WITH wanted (s, d) AS"
+                        f" (VALUES {', '.join(['(?, ?)'] * len(chunk))})"
+                        " SELECT s, d FROM wanted WHERE EXISTS"
+                        f" (SELECT 1 FROM pair_index WHERE gid IN ({gids})"
+                        " AND src_label = s AND dst_label = d)",
+                        [*chain.from_iterable(chunk), partition],
+                    )
+                )
+            return {
+                (src, dst)
+                for src, dst in wanted
+                if (ids.get(src), ids.get(dst)) in found
+            }
 
     def graphs_with_pair(
         self, src_label: str, dst_label: str
@@ -726,7 +787,8 @@ class CorpusStore:
 
         Enough for interest-model fitting and interner construction —
         the two full-corpus passes mining makes besides per-behavior
-        pattern growth — at a fraction of a full decode.
+        pattern growth — at a fraction of a full decode.  The pass
+        resolves its label ids in one statement.
         """
         with self._wrap():
             sql = "SELECT node_labels FROM graphs WHERE partition = ?"
@@ -735,11 +797,15 @@ class CorpusStore:
                 sql += " AND kind = ?"
                 params.append(kind)
             sql += " ORDER BY gid"
-            for (label_blob,) in self._conn.execute(sql, params):
-                yield [self._label_of(lid) for lid in _unpack(label_blob)]
+            blobs = [_unpack(blob) for (blob,) in self._conn.execute(sql, params)]
+            table = self._label_map(chain.from_iterable(blobs))
+            for label_ids in blobs:
+                yield [table[lid] for lid in label_ids]
 
     def _materialize(self, gid: int, name: str, label_blob: bytes) -> TemporalGraph:
-        labels = [self._label_of(lid) for lid in _unpack(label_blob)]
+        label_ids = _unpack(label_blob)
+        table = self._label_map(label_ids)
+        labels = [table[lid] for lid in label_ids]
         pages = self._conn.execute(
             "SELECT src, dst, time FROM edge_pages WHERE gid = ? ORDER BY page",
             (gid,),
@@ -806,8 +872,11 @@ class CorpusStore:
         by indexed range scan — only pages overlapping the range decode.
 
         Byte-identical to :meth:`TemporalGraph.window` on the
-        materialized graph: same first-encounter node remap, same edge
-        order, same default name.
+        materialized graph: each overlapping page is cut to the range by
+        two bisects on its time column, and the cut columns go through
+        the same first-encounter node remap
+        (:meth:`TemporalGraph.from_window_columns`), with the same
+        default name.  The window's label ids resolve in one statement.
         """
         with self._wrap():
             rows = self._conn.execute(
@@ -825,28 +894,30 @@ class CorpusStore:
                     f"partition; {partition!r} holds {len(rows)} graphs"
                 )
             gid, graph_name, label_blob = rows[0]
-            label_ids = _unpack(label_blob)
-            sub = TemporalGraph(name=name or f"{graph_name}[{start},{end}]")
-            remap: dict[int, int] = {}
+            src = array(INT_TYPECODE)
+            dst = array(INT_TYPECODE)
+            time = array(INT_TYPECODE)
             for src_b, dst_b, time_b in self._conn.execute(
                 "SELECT src, dst, time FROM edge_pages"
                 " WHERE gid = ? AND t_max >= ? AND t_min <= ? ORDER BY page",
                 (gid, start, end),
             ):
-                src = _unpack(src_b)
-                dst = _unpack(dst_b)
-                time = _unpack(time_b)
-                for i in range(bisect_right(time, start - 1), len(time)):
-                    t = time[i]
-                    if t > end:
-                        break
-                    for node in (src[i], dst[i]):
-                        if node not in remap:
-                            remap[node] = sub.add_node(
-                                self._label_of(label_ids[node])
-                            )
-                    sub.add_edge(remap[src[i]], remap[dst[i]], t)
-            return sub.freeze()
+                times = _unpack(time_b)
+                lo = bisect_left(times, start) * INT_BYTES
+                hi = bisect_right(times, end) * INT_BYTES
+                src.frombytes(src_b[lo:hi])
+                dst.frombytes(dst_b[lo:hi])
+                time.frombytes(time_b[lo:hi])
+            label_ids = _unpack(label_blob)
+
+            def labels_of(nodes: list[int]) -> list[str]:
+                ids = [label_ids[node] for node in nodes]
+                table = self._label_map(ids)
+                return [table[lid] for lid in ids]
+
+            return TemporalGraph.from_window_columns(
+                name or f"{graph_name}[{start},{end}]", src, dst, time, labels_of
+            )
 
     def iter_windows(
         self,
@@ -887,7 +958,8 @@ class CorpusStore:
         self, log: str, *, start: int | None = None, end: int | None = None
     ) -> Iterator[SyscallEvent]:
         """Replay a stored event log, optionally restricted to a time
-        range — boundary pages are filtered, interior pages stream whole."""
+        range — boundary pages are filtered, interior pages stream whole.
+        Each page resolves its label ids in one statement."""
         with self._wrap():
             exists = self._conn.execute(
                 "SELECT 1 FROM event_pages WHERE log = ? LIMIT 1", (log,)
@@ -897,7 +969,7 @@ class CorpusStore:
                     f"corpus store {self._path}: no event log {log!r}"
                 )
             sql = (
-                "SELECT time, syscall, src_key, src_label, dst_key, dst_label, n"
+                "SELECT time, syscall, src_key, src_label, dst_key, dst_label"
                 " FROM event_pages WHERE log = ?"
             )
             params: list = [log]
@@ -911,20 +983,20 @@ class CorpusStore:
             for row in self._conn.execute(sql, params):
                 times = _unpack(row[0])
                 columns = [_unpack(blob) for blob in row[1:6]]
-                for i in range(row[6]):
-                    t = times[i]
+                # ids read through the cache while it holds them; the
+                # first miss resolves the whole page in one statement
+                table = self._id_labels
+                for t, *ids in zip(times, *columns, strict=True):
                     if (start is not None and t < start) or (
                         end is not None and t > end
                     ):
                         continue
-                    yield SyscallEvent(
-                        time=t,
-                        syscall=self._label_of(columns[0][i]),
-                        src_key=self._label_of(columns[1][i]),
-                        src_label=self._label_of(columns[2][i]),
-                        dst_key=self._label_of(columns[3][i]),
-                        dst_label=self._label_of(columns[4][i]),
-                    )
+                    try:
+                        labels = [table[lid] for lid in ids]
+                    except KeyError:
+                        table = self._label_map(chain.from_iterable(columns))
+                        labels = [table[lid] for lid in ids]
+                    yield SyscallEvent(t, *labels)
 
     def iter_event_batches(
         self,
@@ -994,7 +1066,9 @@ class CorpusStore:
                 "SELECT gid, name, num_edges, node_labels, checksum FROM graphs"
                 " ORDER BY gid"
             ).fetchall():
-                labels = [self._label_of(lid) for lid in _unpack(label_blob)]
+                label_ids = _unpack(label_blob)
+                table = self._label_map(label_ids)
+                labels = [table[lid] for lid in label_ids]
                 src_b = b""
                 dst_b = b""
                 time_b = b""

@@ -116,10 +116,11 @@ class QueryEngine:
             key=lambda pair: len(self.graph.edges_between(*pair)),
         )
         anchor_edges = self.graph.edges_between(*anchor_pair)
+        times = self.graph.edge_arrays()[3]
         spans: set[Span] = set()
         seen_windows: set[Span] = set()
         for idx in anchor_edges:
-            t = self.graph.edges[idx].time
+            t = times[idx]
             lo, hi = max(0, t - max_span), t + max_span
             if (lo, hi) in seen_windows:
                 continue
@@ -141,9 +142,10 @@ class QueryEngine:
         nodes_by_label: dict[str, list[int]] = {}
         for node in range(window.num_nodes):
             nodes_by_label.setdefault(window.label(node), []).append(node)
-        for edge in window.edges:
-            adjacency.add((edge.src, edge.dst))
-            pair_times.setdefault((edge.src, edge.dst), []).append(edge.time)
+        _base, srcs, dsts, times = window.edge_arrays()
+        for src, dst, time in zip(srcs, dsts, times):
+            adjacency.add((src, dst))
+            pair_times.setdefault((src, dst), []).append(time)
         spans: set[Span] = set()
         for assignment in enumerate_nontemporal_matches(
             pattern, window.labels, adjacency, nodes_by_label, limit=limit

@@ -503,9 +503,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     # -- framing --------------------------------------------------------
     def _reply(
-        self, status: int, payload: dict | bytes, retry_after: float | None = None
+        self,
+        status: int,
+        payload: dict | bytes,
+        retry_after: float | None = None,
+        close: bool = False,
     ) -> None:
-        """Send one reply: ``payload`` is a JSON dict or its encoded bytes."""
+        """Send one reply: ``payload`` is a JSON dict or its encoded bytes.
+
+        ``close`` adds ``Connection: close``.  A ``HEAD`` request gets the
+        head alone, its ``Content-Length`` still that of the body.
+        """
         if isinstance(payload, bytes):
             body = payload
         else:
@@ -516,6 +524,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if retry_after is not None:
             # ceil to whole seconds: Retry-After is delta-seconds per RFC
             self.send_header("Retry-After", str(max(1, int(retry_after + 0.999))))
+        if close:
+            self.send_header("Connection", "close")
+        if self.command == "HEAD":
+            body = b""
         if self.request_version == "HTTP/0.9":
             # no status line or headers in HTTP/0.9: the body alone
             self.wfile.write(body)
@@ -526,10 +538,29 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._headers_buffer.extend((b"\r\n", body))
         self.flush_headers()
 
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Errors the stdlib raises itself (a malformed request line, an
+        unsupported method, oversized headers) leave as the JSON error
+        reply every other error carries, in one write, and close the
+        connection as the stdlib's own ``send_error`` does."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._reply(code, {"error": message, "status": code}, close=True)
+
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > _MAX_BODY_BYTES:
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        digits = declared.lstrip("0") or "0"
+        if not (digits.isascii() and digits.isdigit()):
+            # the body is left unread, so where the next request starts
+            # is unknown: the reply closes the connection
+            self.close_connection = True
+            raise HttpError(400, f"invalid Content-Length {declared[:40]!r}")
+        if len(digits) > len(str(_MAX_BODY_BYTES)) or int(digits) > _MAX_BODY_BYTES:
+            self.close_connection = True
             raise HttpError(413, f"request body over {_MAX_BODY_BYTES} bytes")
+        length = int(digits)
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -549,6 +580,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 exc.status,
                 {"error": str(exc), "status": exc.status},
                 retry_after=exc.retry_after,
+                close=self.close_connection,
             )
         except (ArtifactError, DatasetError) as exc:
             self._reply(400, {"error": str(exc), "status": 400})
@@ -584,20 +616,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if path == "/v1/canary":
                 return app.handle_canary_status()
             raise HttpError(404, f"no such endpoint: GET {path}")
-        if method == "POST":
-            body = self._read_body()
-            if path == "/v1/ingest":
-                return app.handle_ingest(body)
-            if path == "/v1/models":
-                return app.handle_publish(body)
-            action = _MODEL_ACTION.match(path)
-            if action:
-                version = int(action.group(1))
-                if action.group(2) == "canary":
-                    return app.handle_canary_start(version, body)
-                return app.handle_promote(version, body)
-            raise HttpError(404, f"no such endpoint: POST {path}")
-        raise HttpError(405, f"method {method} not allowed")
+        body = self._read_body()
+        if path == "/v1/ingest":
+            return app.handle_ingest(body)
+        if path == "/v1/models":
+            return app.handle_publish(body)
+        action = _MODEL_ACTION.match(path)
+        if action:
+            version = int(action.group(1))
+            if action.group(2) == "canary":
+                return app.handle_canary_start(version, body)
+            return app.handle_promote(version, body)
+        raise HttpError(404, f"no such endpoint: POST {path}")
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         self._dispatch("GET")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 import pytest
 
@@ -40,6 +41,95 @@ def random_temporal_graph(rng: random.Random, n_nodes=6, n_edges=10, alphabet="A
             v = rng.randrange(n_nodes)
         graph.add_edge(u, v, t)
     return graph.freeze()
+
+
+def window_by_add_edge(graph: TemporalGraph, start: int, end: int, name: str = ""):
+    """``graph.window(start, end)`` built edge by edge with ``add_edge``.
+
+    The reference the column-built windows are held to: first-encounter
+    node remap (each edge's source before its destination), then
+    :meth:`TemporalGraph.freeze`.
+    """
+    sub = TemporalGraph(name=name or f"{graph.name}[{start},{end}]")
+    remap: dict[int, int] = {}
+    for edge in graph.edges:
+        if not start <= edge.time <= end:
+            continue
+        for node in (edge.src, edge.dst):
+            if node not in remap:
+                remap[node] = sub.add_node(graph.label(node))
+        sub.add_edge(remap[edge.src], remap[edge.dst], edge.time)
+    return sub.freeze()
+
+
+#: The fields of a :class:`~repro.core.kernel.GraphKernel`.
+KERNEL_FIELDS = (
+    "num_nodes",
+    "num_edges",
+    "edge_src",
+    "edge_dst",
+    "edge_time",
+    "node_labels",
+    "node_label_ids",
+    "out_indptr",
+    "out_indices",
+    "out_dsts",
+    "in_indptr",
+    "in_indices",
+    "in_srcs",
+    "suffix_label_ids",
+)
+
+
+def graph_accessor_facts(graph: TemporalGraph, pickled: bool = True) -> dict:
+    """What every read accessor of a frozen graph returns, as plain values.
+
+    Two graphs with equal facts are indistinguishable to every reader:
+    the object layer (edges, adjacency, degrees, label -> nodes), the
+    one-edge index, the edge columns, the kernel and, with ``pickled``,
+    the same facts of a pickle round trip.
+    """
+    import pickle
+
+    def edge_facts(edges):
+        return [(e.src, e.dst, e.time) for e in edges]
+
+    nodes = range(graph.num_nodes)
+    labels = sorted(set(graph.labels)) + ["<absent>"]
+    last = graph.span()[1] if graph.num_edges else 0
+    kernel = graph.kernel()
+    facts = {
+        "name": graph.name,
+        "labels": list(graph.labels),
+        "num_edges": (graph.num_edges, len(graph)),
+        "span": graph.span() if graph.num_edges else None,
+        "edges": edge_facts(graph.edges),
+        "out_edges": [edge_facts(graph.out_edges(n)) for n in nodes],
+        "in_edges": [edge_facts(graph.in_edges(n)) for n in nodes],
+        "degrees": [(graph.out_degree(n), graph.in_degree(n)) for n in nodes],
+        "nodes_with_label": {lab: list(graph.nodes_with_label(lab)) for lab in labels},
+        "label_pair_index": {
+            pair: list(idxs) for pair, idxs in graph.label_pair_index().items()
+        },
+        "edges_between": [
+            list(graph.edges_between(a, b)) for a in labels for b in labels
+        ],
+        "edge_arrays": [
+            value if isinstance(value, int) else list(value)
+            for value in graph.edge_arrays()
+        ],
+        "edge_index_after": [graph.edge_index_after(t) for t in range(-1, last + 2)],
+        "kernel": {
+            field: list(value) if isinstance(value, Sequence) else value
+            for field in KERNEL_FIELDS
+            for value in [getattr(kernel, field)]
+        },
+    }
+    if pickled:
+        facts["pickled"] = graph_accessor_facts(
+            pickle.loads(pickle.dumps(graph)), pickled=False
+        )
+    return facts
 
 
 def random_embedded_pattern(rng: random.Random, graph: TemporalGraph, max_edges=4):

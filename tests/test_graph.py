@@ -1,11 +1,22 @@
 """Unit tests for :mod:`repro.core.graph`."""
 
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.errors import GraphError, TimestampOrderError
 from repro.core.graph import TemporalEdge, TemporalGraph
+from repro.core.growth import seed_patterns
 
-from conftest import build_graph
+from conftest import (
+    build_graph,
+    graph_accessor_facts,
+    random_temporal_graph,
+    window_by_add_edge,
+)
 
 
 class TestConstruction:
@@ -138,6 +149,96 @@ class TestWindow:
         w = figure3_graph.window(100, 200)
         assert w.num_edges == 0
         assert w.num_nodes == 0
+
+
+def column_born(graph):
+    """``graph`` rebuilt from its edge columns."""
+    _base, src, dst, time = graph.edge_arrays()
+    return TemporalGraph.from_frozen_columns(graph.name, graph.labels, src, dst, time)
+
+
+class TestColumnBornGraphs:
+    """A graph made from columns builds its object layer on first use and
+    equals the graph built with ``add_edge`` on every accessor."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_frozen_columns_equals_add_edge(self, seed):
+        rng = random.Random(seed)
+        graph = random_temporal_graph(rng, n_nodes=7, n_edges=25, alphabet="ABCD")
+        born = column_born(graph)
+        assert born._objects is None
+        assert graph_accessor_facts(born) == graph_accessor_facts(graph)
+
+    def test_self_loops_and_isolated_nodes(self):
+        graph = TemporalGraph(name="loops")
+        for label in ("A", "B", "A", "C"):
+            graph.add_node(label)
+        for src, dst, time in ((0, 0, 1), (0, 1, 2), (2, 2, 5), (1, 0, 7)):
+            graph.add_edge(src, dst, time)
+        graph.freeze()
+        assert graph_accessor_facts(column_born(graph)) == graph_accessor_facts(graph)
+
+    def test_empty_graph(self):
+        graph = TemporalGraph(name="empty")
+        graph.add_node("A")
+        graph.freeze()
+        born = column_born(graph)
+        assert graph_accessor_facts(born) == graph_accessor_facts(graph)
+        with pytest.raises(GraphError):
+            born.span()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_equals_add_edge_window(self, seed):
+        rng = random.Random(seed)
+        graph = random_temporal_graph(rng, n_nodes=8, n_edges=40, alphabet="ABCD")
+        for source in (graph, column_born(graph)):
+            for _ in range(20):
+                start = rng.randrange(-5, 45)
+                end = start + rng.randrange(-2, 20)
+                window = source.window(start, end)
+                assert window._objects is None
+                assert graph_accessor_facts(window) == graph_accessor_facts(
+                    window_by_add_edge(graph, start, end)
+                )
+
+    def test_readers_of_the_columns_build_no_object_layer(self):
+        rng = random.Random(11)
+        born = column_born(random_temporal_graph(rng, n_edges=30))
+        assert (born.num_edges, len(born)) == (30, 30)
+        assert born.span() == (0, 29)
+        assert born.edge_index_after(9) == 10
+        assert born.residual_size(9) == 20
+        pair = next(iter(born.label_pair_index()))
+        assert born.edges_between(*pair)
+        born.edge_arrays()
+        born.kernel()
+        assert seed_patterns([born], pair)
+        born.window(3, 17)
+        assert born._objects is None
+        assert born.out_degree(0) == len(list(born.out_edges(0)))
+        assert born._objects is not None
+
+    def test_concurrent_first_use_sees_the_whole_layer(self):
+        rng = random.Random(3)
+        graph = random_temporal_graph(rng, n_nodes=30, n_edges=400, alphabet="ABCDE")
+        expected = graph_accessor_facts(graph, pickled=False)
+        interval = sys.getswitchinterval()
+        # switch threads often, so first uses interleave inside the build
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                born = column_born(graph)
+                barrier = threading.Barrier(4)
+
+                def read():
+                    barrier.wait(timeout=60)
+                    return graph_accessor_facts(born, pickled=False)
+
+                with ThreadPoolExecutor(4) as pool:
+                    results = list(pool.map(lambda _: read(), range(4), timeout=60))
+                assert all(result == expected for result in results)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFromEvents:

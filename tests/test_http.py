@@ -11,6 +11,7 @@ its writes.
 
 import io
 import json
+import socket
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
@@ -370,10 +371,15 @@ def handle_raw(app, method, path, payload=None, version="HTTP/1.1"):
         head = f"{method} {path}\r\n"
     else:
         head = f"{method} {path} {version}\r\nContent-Length: {len(body)}\r\n\r\n"
+    return handle_bytes(app, head.encode() + body)
+
+
+def handle_bytes(app, request):
+    """Feed raw request bytes to the real handler; returns its writes."""
     handler = _RequestHandler.__new__(_RequestHandler)
     handler.server = SimpleNamespace(app=app)
     handler.client_address = ("127.0.0.1", 0)
-    handler.rfile = io.BytesIO(head.encode() + body)
+    handler.rfile = io.BytesIO(request)
     handler.wfile = CountingWriter()
     handler.close_connection = True
     handler.handle_one_request()
@@ -536,3 +542,89 @@ class TestOneWritePerReply:
         app = DetectionServer(Workspace().serve(model))
         (raw,) = handle_raw(app, "GET", "/v1/healthz", version="HTTP/0.9")
         assert json.loads(raw)["status"] == "ok"
+
+
+class TestHostileFraming:
+    """Requests the stdlib parser or the body reader rejects get the JSON
+    error reply, in one write, and close the connection."""
+
+    @pytest.fixture
+    def app(self, model):
+        return DetectionServer(Workspace().serve(model))
+
+    def assert_json_error(self, writes, status):
+        (raw,) = writes
+        code, headers, body = parse_reply(raw)
+        assert code == status
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["status"] == status
+        return json.loads(body)["error"]
+
+    def test_unsupported_method(self, app):
+        error = self.assert_json_error(handle_raw(app, "PUT", "/v1/ingest", {}), 501)
+        assert "PUT" in error
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"GET /a b HTTP/1.1", b"GET / HTTP/1.1 extra HTTP/1.1"],
+    )
+    def test_garbage_request_line(self, app, line):
+        self.assert_json_error(handle_bytes(app, line + b"\r\n\r\n"), 400)
+
+    @pytest.mark.parametrize(
+        "line, status",
+        [(b"GET / HTTP/2.0", 505), (b"GET / HTTP/abc", 400), (b"GARBAGE", 400)],
+    )
+    def test_errors_before_the_version_is_known(self, app, line, status):
+        # until the request line names a version the stdlib answers as
+        # HTTP/0.9 does: the body alone, with no status line or headers
+        (raw,) = handle_bytes(app, line + b"\r\n\r\n")
+        assert json.loads(raw)["status"] == status
+
+    def test_oversized_headers(self, app):
+        headers = "".join(f"X-{i}: y\r\n" for i in range(101))
+        request = f"GET /v1/healthz HTTP/1.1\r\n{headers}\r\n"
+        self.assert_json_error(handle_bytes(app, request.encode()), 431)
+
+    def test_head_gets_the_head_alone(self, app):
+        (raw,) = handle_bytes(app, b"HEAD /v1/healthz HTTP/1.1\r\n\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"Connection: close" in head
+        assert body == b""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5", "+3", "1_0", "\u0661"])
+    def test_invalid_content_length(self, app, length):
+        request = (
+            f"POST /v1/ingest HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+        )
+        error = self.assert_json_error(handle_bytes(app, request.encode()), 400)
+        assert "Content-Length" in error
+
+    def test_oversized_content_length(self, app):
+        for length in ("9" * 5000, str(64 * 1024 * 1024 + 1)):
+            request = f"POST /v1/ingest HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            self.assert_json_error(handle_bytes(app, request.encode()), 413)
+
+    def test_leading_zeros_are_a_length(self, app):
+        body = json.dumps(ingest_body(chain_events(0, 0))).encode()
+        request = (
+            f"POST /v1/ingest HTTP/1.1\r\nContent-Length: 000{len(body)}\r\n\r\n"
+        ).encode() + body
+        (raw,) = handle_bytes(app, request)
+        assert parse_reply(raw)[0] == 200
+
+    def test_negative_length_over_a_socket_does_not_hang(self, server):
+        with socket.create_connection(server.address, timeout=2) as conn:
+            conn.sendall(
+                b"POST /v1/ingest HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -1\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        status, headers, body = parse_reply(reply)
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]

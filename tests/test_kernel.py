@@ -161,13 +161,16 @@ class TestGraphKernel:
         with pytest.raises(GraphError):
             graph.edge_arrays()
 
-    def test_pickle_drops_kernel_and_array_caches(self):
+    def test_pickle_keeps_columns_and_drops_derived_layers(self):
         rng = random.Random(19)
         graph = random_temporal_graph(rng)
         graph.kernel()
-        graph.edge_arrays()
         clone = pickle.loads(pickle.dumps(graph))
-        assert clone._kernel is None and clone._col_src is None
+        # a frozen graph travels as its columns: the kernel and the object
+        # layer are rebuilt on first use
+        assert clone._kernel is None and clone._objects is None
+        assert clone.edge_arrays() == graph.edge_arrays()
+        assert clone.edges == graph.edges
         # the rebuilt kernel is equivalent
         rebuilt = clone.kernel()
         assert rebuilt.edge_src == graph.kernel().edge_src

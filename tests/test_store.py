@@ -17,15 +17,23 @@ import pytest
 from repro.api import Workspace
 from repro.core.errors import DatasetError
 from repro.core.graph import TemporalGraph
-from repro.core.miner import MinerConfig
+from repro.core.miner import MinerConfig, TGMiner
+from repro.datasets import store as store_module
 from repro.datasets.store import (
     BACKGROUND_PARTITION,
     STORE_SCHEMA_VERSION,
     CorpusStore,
 )
+from repro.query.engine import QueryEngine
 from repro.syscall import SyscallEvent
 
-from conftest import build_graph, random_temporal_graph
+from conftest import (
+    build_graph,
+    graph_accessor_facts,
+    random_embedded_pattern,
+    random_temporal_graph,
+    window_by_add_edge,
+)
 
 FAST = MinerConfig(max_edges=3, max_seconds=20)
 
@@ -280,6 +288,47 @@ class TestPairIndex:
             assert s.window("log", 0, 9).num_edges == 3
         assert sum(bool(re.search(r"\blabels\b", sql)) for sql in statements) == 1
 
+    def test_pair_labels_of_given_pairs(self, train, store):
+        """Asked about some pairs, the store answers which of them occur:
+        the full listing cut to the pairs asked, in two statements."""
+        for partition in (train.config.behaviors[0], BACKGROUND_PARTITION):
+            present = store.pair_labels(partition)
+            labels = sorted({label for pair in present for label in pair})
+            rng = random.Random(partition)
+            asked = set(rng.sample(sorted(present), len(present) // 2))
+            asked |= {(rng.choice(labels), rng.choice(labels)) for _ in range(40)}
+            asked |= {("no-such-label", labels[0]), (labels[0], "no-such-label")}
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            try:
+                assert store.pair_labels(partition, asked) == present & asked
+                assert store.pair_labels(partition, present) == present
+                assert store.pair_labels(partition, []) == set()
+            finally:
+                store._conn.set_trace_callback(None)
+            assert len(statements) == 4
+
+    def test_pair_labels_of_given_pairs_chunks_under_the_parameter_limit(
+        self, tmp_path
+    ):
+        n = 1500
+        g = build_graph(
+            [(i, i + 1, i) for i in range(n - 1)],
+            labels=[f"label-{i}" for i in range(n)],
+            name="wide",
+        )
+        path = tmp_path / "s.store"
+        with CorpusStore.create(path) as s:
+            s.add_graph("p", g)
+        forward = {(f"label-{i}", f"label-{i + 1}") for i in range(n - 1)}
+        backward = {(dst, src) for src, dst in forward}
+        statements = []
+        with CorpusStore.open(path) as s:
+            s._conn.set_trace_callback(statements.append)
+            assert s.pair_labels("p", forward | backward) == forward
+        # 1,500 labels in 999-label chunks, 2,998 pairs in 499-pair chunks
+        assert len(statements) == 2 + 7
+
     def test_pair_labels_refuses_dangling_label_id(self, tmp_path):
         path = tmp_path / "s.store"
         g = build_graph([(0, 1, 0), (1, 0, 4)], labels=["A", "B"], name="g")
@@ -292,6 +341,166 @@ class TestPairIndex:
         with CorpusStore.open(path) as s:
             with pytest.raises(DatasetError, match="dangling label id"):
                 s.pair_labels("p")
+
+
+class TestColumnBornReads:
+    """Graphs and windows read from a store are built from their page
+    columns; they equal graphs built with ``add_edge`` on every accessor,
+    and mining or querying them never builds the object layer."""
+
+    @pytest.mark.parametrize("page_edges", [1, 2, 5, 4096])
+    def test_load_graphs_equal_add_edge_graphs(self, tmp_path, page_edges):
+        rng = random.Random(page_edges)
+        graphs = [
+            random_temporal_graph(rng, n_nodes=6, n_edges=n, alphabet="ABCD")
+            for n in (1, 7, 20)
+        ]
+        empty = TemporalGraph(name="empty")
+        empty.add_node("A")
+        graphs.append(empty.freeze())
+        path = tmp_path / "s.store"
+        with CorpusStore.create(path, page_edges=page_edges) as s:
+            s.add_graphs("p", graphs)
+        with CorpusStore.open(path) as s:
+            back = s.load_graphs("p")
+        assert all(g._objects is None for g in back)
+        assert [graph_accessor_facts(g) for g in back] == [
+            graph_accessor_facts(g) for g in graphs
+        ]
+
+    def test_load_training_data_equals_add_edge_graphs(self, train, store):
+        back = store.load_training_data()
+        for name in train.behaviors:
+            assert [graph_accessor_facts(g) for g in back.behavior(name)] == [
+                graph_accessor_facts(g) for g in train.behavior(name)
+            ]
+        assert [graph_accessor_facts(g) for g in back.background] == [
+            graph_accessor_facts(g) for g in train.background
+        ]
+
+    @pytest.mark.parametrize("page_edges", [1, 2, 5, 4096])
+    def test_window_equals_add_edge_window(self, tmp_path, page_edges):
+        rng = random.Random(page_edges)
+        g = random_temporal_graph(rng, n_nodes=8, n_edges=40, alphabet="ABCD")
+        path = tmp_path / "s.store"
+        with CorpusStore.create(path, page_edges=page_edges) as s:
+            s.add_graph("mon", g, kind="log")
+        with CorpusStore.open(path) as s:
+            for _ in range(25):
+                a = rng.randrange(-5, 45)
+                b = a + rng.randrange(0, 20)
+                window = s.window("mon", a, b)
+                assert window._objects is None
+                assert graph_accessor_facts(window) == graph_accessor_facts(
+                    window_by_add_edge(g, a, b)
+                )
+
+    def test_mining_and_querying_build_no_object_layer(self, store, tmp_path):
+        positives = store.load_graphs("gzip-decompress", kind="behavior")
+        negatives = store.load_graphs(BACKGROUND_PARTITION, kind="background")
+        TGMiner(FAST).mine(positives, negatives)
+        assert all(g._objects is None for g in positives + negatives)
+
+        rng = random.Random(4)
+        log = random_temporal_graph(rng, n_nodes=8, n_edges=60, alphabet="ABC")
+        path = tmp_path / "s.store"
+        with CorpusStore.create(path, page_edges=16) as s:
+            s.add_graph("mon", log, kind="log")
+        with CorpusStore.open(path) as s:
+            window = s.window("mon", 5, 50)
+        reference = window_by_add_edge(log, 5, 50)
+        pattern = random_embedded_pattern(rng, reference, max_edges=3)
+        spans = QueryEngine(window).search_temporal(pattern, max_span=50)
+        assert spans == QueryEngine(reference).search_temporal(pattern, max_span=50)
+        assert spans and window._objects is None
+
+
+def traced_opens(monkeypatch):
+    """Record every statement of every store opened from here on."""
+    statements = []
+    real_open = CorpusStore.open.__func__
+
+    def traced_open(cls, *args, **kwargs):
+        opened = real_open(cls, *args, **kwargs)
+        opened._conn.set_trace_callback(statements.append)
+        return opened
+
+    monkeypatch.setattr(CorpusStore, "open", classmethod(traced_open))
+    return statements
+
+
+def reads_labels(sql):
+    return bool(re.search(r"\blabels\b", sql))
+
+
+class TestLabelReads:
+    def test_store_mine_statements_grow_with_graphs(self, train, store, monkeypatch):
+        """A store mine resolves labels in at most one statement per graph
+        read or catalog pass, however many distinct label ids it meets."""
+        names = ["gzip-decompress", "sshd-login"]
+        statements = traced_opens(monkeypatch)
+        Workspace().mine(store=store.path, behaviors=names, config=FAST, workers=1)
+        graphs = sum(len(train.behavior(n)) for n in names) + len(train.background)
+        passes = len(names) + 1
+        label_reads = [sql for sql in statements if reads_labels(sql)]
+        assert sum("FROM edge_pages" in sql for sql in statements) == graphs
+        assert len(label_reads) <= graphs + passes
+        # one graph list and one catalog pass per partition read, then
+        # max_span per behavior and graph_count per partition
+        assert len(statements) == graphs + len(label_reads) + 4 * len(names) + 3
+        # the bound is well under one statement per label id
+        assert store.info()["labels"] > 4 * (graphs + passes)
+
+    @pytest.mark.parametrize("read", ["graph", "window", "catalog", "events"])
+    def test_dangling_label_id_raises_on_every_batched_path(self, tmp_path, read):
+        path = tmp_path / "s.store"
+        g = build_graph([(0, 1, 0), (1, 2, 4)], labels=["A", "B", "C"], name="g")
+        with CorpusStore.create(path) as s:
+            s.add_graph("p", g)
+            s.add_log("log", graph=g, events=TestEvents.EVENTS)
+        conn = sqlite3.connect(path)
+        with conn:
+            gone = "open" if read == "events" else "B"
+            conn.execute("DELETE FROM labels WHERE label = ?", (gone,))
+        conn.close()
+        reads = {
+            "graph": lambda s: s.load_graphs("p"),
+            "window": lambda s: s.window("log", 0, 9),
+            "catalog": lambda s: list(s.iter_graph_labels("p")),
+            "events": lambda s: list(s.iter_events("log")),
+        }
+        with CorpusStore.open(path) as s:
+            with pytest.raises(DatasetError, match="dangling label id"):
+                reads[read](s)
+
+    def test_label_reads_chunk_under_the_parameter_limit(self, tmp_path):
+        n = 1500
+        g = build_graph(
+            [(i, i + 1, i) for i in range(n - 1)],
+            labels=[f"label-{i}" for i in range(n)],
+            name="wide",
+        )
+        path = tmp_path / "s.store"
+        with CorpusStore.create(path) as s:
+            s.add_graph("p", g)
+        statements = []
+        with CorpusStore.open(path) as s:
+            s._conn.set_trace_callback(statements.append)
+            (back,) = s.load_graphs("p")
+        assert list(back.labels) == list(g.labels)
+        assert sum(reads_labels(sql) for sql in statements) == 2
+
+    def test_events_survive_cache_eviction_between_reads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "_LABEL_CACHE_CAP", 3)
+        path = tmp_path / "s.store"
+        with CorpusStore.create(path) as s:
+            s.add_events("mon", TestEvents.EVENTS)
+        with CorpusStore.open(path) as s:
+            first, second = s.iter_events("mon"), s.iter_events("mon")
+            interleaved = [(next(first), next(second)) for _ in TestEvents.EVENTS]
+            assert [a for a, _ in interleaved] == TestEvents.EVENTS
+            assert [b for _, b in interleaved] == TestEvents.EVENTS
+            assert len(s._id_labels) <= 3
 
 
 class TestMiningIdentity:
@@ -362,6 +571,19 @@ class TestQueryIdentity:
         stored = ws.query(model, store=path, log="monitor")
         for name in batch.behaviors:
             assert stored.behaviors[name].spans == batch.behaviors[name].spans
+
+    def test_queries_with_an_absent_pair_decode_no_page(self, setup, tmp_path):
+        ws, model, _test, _path = setup
+        path = tmp_path / "other.store"
+        g = build_graph([(0, 1, 0), (1, 2, 4)], labels=["A", "B", "C"], name="o")
+        with CorpusStore.create(path) as s:
+            s.add_log("monitor", graph=g)
+        statements = []
+        with CorpusStore.open(path) as s:
+            s._conn.set_trace_callback(statements.append)
+            report = ws.query(model, store=s, log="monitor")
+        assert all(not ev.spans for ev in report.behaviors.values())
+        assert not any("edge_pages" in sql for sql in statements)
 
     def test_narrow_scan_width_rejected(self, setup):
         ws, model, _test, path = setup
